@@ -68,13 +68,22 @@ func TestClusterRoutingAndFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for the replica to be ready, then verify reads succeed many
-	// times in a row — round-robin means both nodes serve them.
+	// Wait for the replica to be ready and to hold the release, then
+	// verify reads succeed many times in a row — round-robin means both
+	// nodes serve them. Readiness alone is not enough: it latches on the
+	// replica's first caught-up pass, which can come before the release
+	// was bought, and the failover below needs the release's debit on
+	// the replica.
 	replicaClient := New(tsR.URL, WithRetryPolicy(fastRetry(3)))
 	deadline := time.Now().Add(15 * time.Second)
-	for replicaClient.Ready(ctx) != nil {
+	for {
+		if replicaClient.Ready(ctx) == nil {
+			if _, err := replicaClient.Release(ctx, "ha", rel.ID); err == nil {
+				break
+			}
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("replica never became ready")
+			t.Fatal("replica never became ready with the release")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

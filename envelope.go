@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // This file defines the versioned, self-describing wire envelope every
@@ -29,16 +30,6 @@ import (
 // EnvelopeVersion is the wire-envelope version this library writes.
 const EnvelopeVersion = 1
 
-// envelopeJSON is the wire form of a Release.
-type envelopeJSON struct {
-	Version   int             `json:"privtree_release"`
-	Kind      ReleaseKind     `json:"kind"`
-	Mechanism string          `json:"mechanism,omitempty"`
-	Epsilon   float64         `json:"epsilon,omitempty"`
-	Params    *Params         `json:"params,omitempty"`
-	Payload   json.RawMessage `json:"payload"`
-}
-
 // MarshalJSON implements json.Marshaler for Release: the versioned
 // envelope around the kind-specific payload document, served from the
 // Envelope cache so repeated marshals are bit-identical. Baseline
@@ -49,31 +40,53 @@ func (r *Release) MarshalJSON() ([]byte, error) {
 }
 
 // encodeEnvelope builds the envelope bytes; Envelope caches its result.
+// Header and payload are appended to one buffer, the spatial and
+// sequence payloads straight from their arenas. The bytes must stay
+// exactly what encoding/json writes for the envelope — keys in this
+// order, mechanism and a zero ε omitted — since stores, replicas and
+// archived artifacts hold them (the golden files pin them).
 func (r *Release) encodeEnvelope() ([]byte, error) {
-	var payload any
-	switch {
-	case r.spatial != nil:
-		payload = r.spatial
-	case r.model != nil:
-		payload = r.model
-	case r.hybrid != nil:
-		payload = r.hybrid
-	default:
+	if r.spatial == nil && r.model == nil && r.hybrid == nil {
 		return nil, fmt.Errorf("privtree: %s release has no wire format", r.kind)
 	}
-	blob, err := json.Marshal(payload)
+	b := append(make([]byte, 0, 256), `{"privtree_release":`...)
+	b = strconv.AppendInt(b, EnvelopeVersion, 10)
+	// Kinds and mechanism names are registry identifiers (Decode rejects
+	// any other), plain ASCII that JSON quotes without escapes.
+	b = append(append(append(b, `,"kind":"`...), r.kind...), '"')
+	if r.mechanism != "" {
+		b = append(append(append(b, `,"mechanism":"`...), r.mechanism...), '"')
+	}
+	var err error
+	if r.epsilon != 0 {
+		b = append(b, `,"epsilon":`...)
+		if b, err = appendWireFloat(b, r.epsilon); err != nil {
+			return nil, err
+		}
+	}
+	// Params' struct tags are the one definition of its wire form.
+	params, err := json.Marshal(&r.params)
 	if err != nil {
 		return nil, err
 	}
-	p := r.params
-	return json.Marshal(envelopeJSON{
-		Version:   EnvelopeVersion,
-		Kind:      r.kind,
-		Mechanism: r.mechanism,
-		Epsilon:   r.epsilon,
-		Params:    &p,
-		Payload:   blob,
-	})
+	b = append(append(append(b, `,"params":`...), params...), `,"payload":`...)
+	switch {
+	case r.spatial != nil:
+		b, err = appendSpatialPayload(b, r.spatial.tree)
+	case r.model != nil:
+		b, err = appendSequencePayload(b, r.model)
+	default:
+		var blob []byte
+		if blob, err = json.Marshal(r.hybrid); err == nil {
+			b = append(b, blob...)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The buffer was sized generously up front; the cached envelope lives
+	// as long as the release, so keep an exact-size copy.
+	return append([]byte(nil), append(b, '}')...), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Release via Decode, so
@@ -122,6 +135,141 @@ type EnvelopeInfo struct {
 	PayloadBytes int
 }
 
+// envelopeHeader is one scan of a serialized release's top-level
+// object: the envelope fields, the raw payload, and the legacy v0
+// discriminator keys. Field by field it holds what encoding/json would
+// decode into
+//
+//	struct {
+//		Envelope  *int            `json:"privtree_release"`
+//		Kind      ReleaseKind     `json:"kind"`
+//		Mechanism string          `json:"mechanism"`
+//		Epsilon   float64         `json:"epsilon"`
+//		Params    *Params         `json:"params"`
+//		Payload   json.RawMessage `json:"payload"`
+//		Alphabet, Fanout *int                 // v0 sequence, spatial
+//		Numeric, Taxonomies, Root json.RawMessage // v0 hybrid, any tree
+//	}
+//
+// keys matched in exact case only.
+type envelopeHeader struct {
+	versioned bool
+	version   int
+	kind      ReleaseKind
+	mechanism string
+	epsilon   float64
+	params    Params
+	payload   []byte // the payload value's bytes; nil when absent
+
+	alphabet, fanout, numeric, taxonomies, root bool
+}
+
+// readEnvelopeHeader scans a serialized release once, checking the
+// payload's syntax but not decoding it.
+func readEnvelopeHeader(data []byte) (*envelopeHeader, error) {
+	h := &envelopeHeader{}
+	r := &wireReader{data: data}
+	err := r.fields(func(key []byte) error {
+		switch string(key) {
+		case "privtree_release":
+			if null, err := r.null(); null || err != nil {
+				h.versioned = false
+				return err
+			}
+			h.versioned = true
+			return r.intInto(&h.version)
+		case "kind":
+			return r.stringInto((*string)(&h.kind))
+		case "mechanism":
+			return r.stringInto(&h.mechanism)
+		case "epsilon":
+			v, null, err := r.float()
+			if !null && err == nil {
+				h.epsilon = v
+			}
+			return err
+		case "params":
+			if null, err := r.null(); null || err != nil {
+				h.params = Params{}
+				return err
+			}
+			start := r.pos
+			if err := r.skip(); err != nil {
+				return err
+			}
+			return json.Unmarshal(data[start:r.pos], &h.params)
+		case "payload":
+			r.peek() // past whitespace: the span starts at the value
+			start := r.pos
+			if err := r.skip(); err != nil {
+				return err
+			}
+			h.payload = data[start:r.pos]
+			return nil
+		case "alphabet":
+			return r.optionalInt(&h.alphabet)
+		case "fanout":
+			return r.optionalInt(&h.fanout)
+		case "numeric":
+			h.numeric = true
+		case "taxonomies":
+			h.taxonomies = true
+		case "root":
+			h.root = true
+		}
+		return r.skip()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return h, r.end()
+}
+
+// check applies the provenance screening Decode and InspectEnvelope
+// share to a versioned envelope: a supported version, a payload, a
+// plausible ε (0 = not recorded), a known kind, and a registered
+// mechanism that produces this kind.
+func (h *envelopeHeader) check() error {
+	if h.version != EnvelopeVersion {
+		return fmt.Errorf("privtree: unsupported release envelope version %d", h.version)
+	}
+	if len(h.payload) == 0 {
+		return fmt.Errorf("privtree: release envelope has no payload")
+	}
+	if math.IsNaN(h.epsilon) || math.IsInf(h.epsilon, 0) || h.epsilon < 0 {
+		return fmt.Errorf("privtree: release envelope has unusable epsilon %v", h.epsilon)
+	}
+	switch h.kind {
+	case KindSpatial, KindSequence, KindHybrid:
+	default:
+		return fmt.Errorf("privtree: release envelope carries unknown kind %q", h.kind)
+	}
+	if h.mechanism != "" {
+		spec, ok := mechanismRegistry[h.mechanism]
+		if !ok {
+			return fmt.Errorf("privtree: release envelope names unknown mechanism %q", h.mechanism)
+		}
+		if spec.kind != h.kind {
+			return fmt.Errorf("privtree: mechanism %q produces %s releases, envelope claims %s",
+				h.mechanism, spec.kind, h.kind)
+		}
+	}
+	return nil
+}
+
+// v0Kind identifies a legacy bare document from its shape.
+func (h *envelopeHeader) v0Kind() (ReleaseKind, error) {
+	switch {
+	case h.alphabet && h.root:
+		return KindSequence, nil
+	case h.fanout && h.root:
+		return KindSpatial, nil
+	case h.numeric || h.taxonomies:
+		return KindHybrid, nil
+	}
+	return "", fmt.Errorf("privtree: not a release document (no envelope and no recognizable v0 shape)")
+}
+
 // InspectEnvelope reads a serialized release's provenance — kind,
 // mechanism, ε, seed, params fingerprint — WITHOUT decoding the payload:
 // inspecting a multi-megabyte artifact costs one metadata parse, and a
@@ -130,76 +278,30 @@ type EnvelopeInfo struct {
 // provenance and report Version 0). The provenance fields get the same
 // plausibility screening as Decode; the payload gets none.
 func InspectEnvelope(data []byte) (*EnvelopeInfo, error) {
-	var probe struct {
-		Envelope  *int            `json:"privtree_release"`
-		Kind      ReleaseKind     `json:"kind"`
-		Mechanism string          `json:"mechanism"`
-		Epsilon   float64         `json:"epsilon"`
-		Params    *Params         `json:"params"`
-		Payload   json.RawMessage `json:"payload"`
-
-		// Legacy v0 discriminator keys.
-		Alphabet   *int            `json:"alphabet"`
-		Fanout     *int            `json:"fanout"`
-		Numeric    json.RawMessage `json:"numeric"`
-		Taxonomies json.RawMessage `json:"taxonomies"`
-		Root       json.RawMessage `json:"root"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	h, err := readEnvelopeHeader(data)
+	if err != nil {
 		return nil, err
 	}
-	if probe.Envelope == nil {
-		// Legacy v0: identify the kind from the document shape.
-		info := &EnvelopeInfo{Version: 0, PayloadBytes: len(data)}
-		switch {
-		case probe.Alphabet != nil && probe.Root != nil:
-			info.Kind = KindSequence
-		case probe.Fanout != nil && probe.Root != nil:
-			info.Kind = KindSpatial
-		case probe.Numeric != nil || probe.Taxonomies != nil:
-			info.Kind = KindHybrid
-		default:
-			return nil, fmt.Errorf("privtree: not a release document (no envelope and no recognizable v0 shape)")
+	if !h.versioned {
+		kind, err := h.v0Kind()
+		if err != nil {
+			return nil, err
 		}
-		return info, nil
+		return &EnvelopeInfo{Version: 0, Kind: kind, PayloadBytes: len(data)}, nil
 	}
-	if *probe.Envelope != EnvelopeVersion {
-		return nil, fmt.Errorf("privtree: unsupported release envelope version %d", *probe.Envelope)
+	if err := h.check(); err != nil {
+		return nil, err
 	}
-	if len(probe.Payload) == 0 {
-		return nil, fmt.Errorf("privtree: release envelope has no payload")
-	}
-	if math.IsNaN(probe.Epsilon) || math.IsInf(probe.Epsilon, 0) || probe.Epsilon < 0 {
-		return nil, fmt.Errorf("privtree: release envelope has unusable epsilon %v", probe.Epsilon)
-	}
-	switch probe.Kind {
-	case KindSpatial, KindSequence, KindHybrid:
-	default:
-		return nil, fmt.Errorf("privtree: release envelope carries unknown kind %q", probe.Kind)
-	}
-	info := &EnvelopeInfo{
-		Version:      *probe.Envelope,
-		Kind:         probe.Kind,
-		Mechanism:    probe.Mechanism,
-		Epsilon:      probe.Epsilon,
-		PayloadBytes: len(probe.Payload),
-	}
-	if probe.Params != nil {
-		info.Params = *probe.Params
-	}
-	info.Seed = info.Params.Seed
-	if probe.Mechanism != "" {
-		spec, ok := mechanismRegistry[probe.Mechanism]
-		if !ok {
-			return nil, fmt.Errorf("privtree: release envelope names unknown mechanism %q", probe.Mechanism)
-		}
-		if spec.kind != probe.Kind {
-			return nil, fmt.Errorf("privtree: mechanism %q produces %s releases, envelope claims %s",
-				probe.Mechanism, spec.kind, probe.Kind)
-		}
-	}
-	info.Fingerprint = releaseFingerprint(info.Mechanism, info.Epsilon, info.Params)
-	return info, nil
+	return &EnvelopeInfo{
+		Version:      h.version,
+		Kind:         h.kind,
+		Mechanism:    h.mechanism,
+		Epsilon:      h.epsilon,
+		Seed:         h.params.Seed,
+		Params:       h.params,
+		Fingerprint:  releaseFingerprint(h.mechanism, h.epsilon, h.params),
+		PayloadBytes: len(h.payload),
+	}, nil
 }
 
 // Decode loads a serialized release: either a versioned envelope (see
@@ -212,103 +314,50 @@ func InspectEnvelope(data []byte) (*EnvelopeInfo, error) {
 // Releases decoded from v0 documents carry no mechanism name and ε = 0:
 // the legacy formats never recorded them.
 func Decode(data []byte) (*Release, error) {
-	// One parse serves both dispatch and the envelope fields; only the
-	// kind-specific payload document is parsed a second time, by its own
-	// hardened decoder.
-	var probe struct {
-		Envelope  *int            `json:"privtree_release"`
-		Kind      ReleaseKind     `json:"kind"`
-		Mechanism string          `json:"mechanism"`
-		Epsilon   float64         `json:"epsilon"`
-		Params    *Params         `json:"params"`
-		Payload   json.RawMessage `json:"payload"`
-
-		// Legacy v0 discriminator keys.
-		Alphabet   *int            `json:"alphabet"`
-		Fanout     *int            `json:"fanout"`
-		Numeric    json.RawMessage `json:"numeric"`
-		Taxonomies json.RawMessage `json:"taxonomies"`
-		Root       json.RawMessage `json:"root"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	h, err := readEnvelopeHeader(data)
+	if err != nil {
 		return nil, err
 	}
-	if probe.Envelope != nil {
-		if *probe.Envelope != EnvelopeVersion {
-			return nil, fmt.Errorf("privtree: unsupported release envelope version %d", *probe.Envelope)
+	if !h.versioned {
+		// Legacy v0 compat shim: the whole document is the payload.
+		kind, err := h.v0Kind()
+		if err != nil {
+			return nil, err
 		}
-		if len(probe.Payload) == 0 {
-			return nil, fmt.Errorf("privtree: release envelope has no payload")
-		}
-		// The provenance fields are validated like everything else on the
-		// wire: ε must be a plausible privacy cost (0 = not recorded), and
-		// a named mechanism must exist, produce this kind, and accept these
-		// params — a forged envelope must not smuggle provenance no
-		// mechanism could have produced.
-		if math.IsNaN(probe.Epsilon) || math.IsInf(probe.Epsilon, 0) || probe.Epsilon < 0 {
-			return nil, fmt.Errorf("privtree: release envelope has unusable epsilon %v", probe.Epsilon)
-		}
-		rel := &Release{kind: probe.Kind, mechanism: probe.Mechanism, epsilon: probe.Epsilon}
-		if probe.Params != nil {
-			rel.params = *probe.Params
-		}
-		if probe.Mechanism != "" {
-			spec, ok := mechanismRegistry[probe.Mechanism]
-			if !ok {
-				return nil, fmt.Errorf("privtree: release envelope names unknown mechanism %q", probe.Mechanism)
-			}
-			if spec.kind != probe.Kind {
-				return nil, fmt.Errorf("privtree: mechanism %q produces %s releases, envelope claims %s",
-					probe.Mechanism, spec.kind, probe.Kind)
-			}
-			if err := spec.validate(rel.params); err != nil {
-				return nil, fmt.Errorf("privtree: release envelope params: %w", err)
-			}
-		}
-		switch probe.Kind {
-		case KindSpatial:
-			var t SpatialTree
-			if err := json.Unmarshal(probe.Payload, &t); err != nil {
-				return nil, err
-			}
-			rel.spatial = &t
-		case KindSequence:
-			var m SequenceModel
-			if err := json.Unmarshal(probe.Payload, &m); err != nil {
-				return nil, err
-			}
-			rel.model = &m
-		case KindHybrid:
-			var t HybridTree
-			if err := json.Unmarshal(probe.Payload, &t); err != nil {
-				return nil, err
-			}
-			rel.hybrid = &t
-		default:
-			return nil, fmt.Errorf("privtree: release envelope carries unknown kind %q", probe.Kind)
-		}
-		return rel, nil
+		return decodePayload(&Release{kind: kind}, data)
 	}
-	// Legacy v0 compat shims: a bare per-type document.
-	switch {
-	case probe.Alphabet != nil && probe.Root != nil:
-		var m SequenceModel
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, err
-		}
-		return &Release{kind: KindSequence, model: &m}, nil
-	case probe.Fanout != nil && probe.Root != nil:
-		var t SpatialTree
-		if err := json.Unmarshal(data, &t); err != nil {
-			return nil, err
-		}
-		return &Release{kind: KindSpatial, spatial: &t}, nil
-	case probe.Numeric != nil || probe.Taxonomies != nil:
-		var t HybridTree
-		if err := json.Unmarshal(data, &t); err != nil {
-			return nil, err
-		}
-		return &Release{kind: KindHybrid, hybrid: &t}, nil
+	// The provenance fields are validated like everything else on the
+	// wire: a forged envelope must not smuggle provenance no mechanism
+	// could have produced.
+	if err := h.check(); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("privtree: not a release document (no envelope and no recognizable v0 shape)")
+	rel := &Release{kind: h.kind, mechanism: h.mechanism, epsilon: h.epsilon, params: h.params}
+	if h.mechanism != "" {
+		if err := mechanismRegistry[h.mechanism].validate(rel.params); err != nil {
+			return nil, fmt.Errorf("privtree: release envelope params: %w", err)
+		}
+	}
+	return decodePayload(rel, h.payload)
+}
+
+// decodePayload decodes a standalone payload document of rel's kind into
+// rel.
+func decodePayload(rel *Release, data []byte) (*Release, error) {
+	var err error
+	switch rel.kind {
+	case KindSpatial:
+		rel.spatial = &SpatialTree{}
+		err = rel.spatial.UnmarshalJSON(data)
+	case KindSequence:
+		rel.model = &SequenceModel{}
+		err = rel.model.UnmarshalJSON(data)
+	default:
+		rel.hybrid = &HybridTree{}
+		err = json.Unmarshal(data, rel.hybrid)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rel, nil
 }

@@ -949,12 +949,26 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"release_id": rel.ID,
-		"kind":       rel.Kind,
-		"params":     rel.Params,
-		"artifact":   rel.Artifact(),
-	})
+	// The response is what encoding/json makes of the map {release_id,
+	// kind, params, artifact} — keys sorted, HTML-escaped, newline-ended
+	// — but the artifact is spliced in verbatim rather than re-validated
+	// and re-compacted on every fetch: it is the envelope writer's
+	// output (or those exact bytes, persisted or replicated under a
+	// SHA-256), which is already compact and HTML-escaped, so encoding
+	// it again would reproduce it byte for byte.
+	rest, err := json.Marshal(map[string]any{"kind": rel.Kind, "params": rel.Params, "release_id": rel.ID})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, &APIError{Code: CodeInternal, Message: err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// rest's keys all sort after "artifact", so it continues the object.
+	for _, part := range [][]byte{[]byte(`{"artifact":`), rel.Artifact(), []byte(","), rest[1:], []byte("\n")} {
+		if _, err := w.Write(part); err != nil {
+			return // the client went away; nothing left to tell it
+		}
+	}
 }
 
 // windowEpochJSON is one sealed epoch in the latest-window document.

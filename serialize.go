@@ -1,9 +1,10 @@
 package privtree
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"privtree/internal/core"
 	"privtree/internal/geom"
@@ -14,38 +15,62 @@ import (
 // bytes carry the same ε-differential-privacy guarantee as the in-memory
 // object and can be published or archived as-is.
 
-// treeJSON is the wire form of a SpatialTree.
-type treeJSON struct {
-	Version int      `json:"version"`
-	Fanout  int      `json:"fanout"`
-	Root    nodeJSON `json:"root"`
-}
-
-type nodeJSON struct {
-	Lo       []float64  `json:"lo"`
-	Hi       []float64  `json:"hi"`
-	Count    *float64   `json:"count,omitempty"` // leaves only; internal counts are reconstructed
-	Children []nodeJSON `json:"children,omitempty"`
-}
+// The spatial payload document is
+//
+//	{"version":1,"fanout":β,"root":NODE}
+//	NODE = {"lo":[...],"hi":[...],"count":c}              (leaf)
+//	     | {"lo":[...],"hi":[...],"children":[NODE × β]} (internal)
+//
+// Internal counts are not written: they are the sums of their leaves.
 
 // MarshalJSON implements json.Marshaler for SpatialTree.
 func (t *SpatialTree) MarshalJSON() ([]byte, error) {
-	var conv func(n core.NodeRef) nodeJSON
-	conv = func(n core.NodeRef) nodeJSON {
-		region := n.Region()
-		out := nodeJSON{Lo: region.Lo, Hi: region.Hi}
-		if n.IsLeaf() {
-			c := n.Count()
-			out.Count = &c
-			return out
-		}
-		out.Children = make([]nodeJSON, n.NumChildren())
-		for i := range out.Children {
-			out.Children[i] = conv(n.Child(i))
-		}
-		return out
+	return appendSpatialPayload(nil, t.tree)
+}
+
+// appendSpatialPayload appends the payload document in one walk of the
+// arena, sizing the buffer up front from the node count.
+func appendSpatialPayload(b []byte, tree *core.Tree) ([]byte, error) {
+	d := len(tree.Nodes[0].Region.Lo)
+	b = slices.Grow(b, tree.Size()*(44*d+16)+64)
+	b = append(b, `{"version":1,"fanout":`...)
+	b = strconv.AppendInt(b, int64(tree.Fanout), 10)
+	b = append(b, `,"root":`...)
+	b, err := appendSpatialNode(b, tree.Root())
+	if err != nil {
+		return nil, err
 	}
-	return json.Marshal(treeJSON{Version: 1, Fanout: t.tree.Fanout, Root: conv(t.tree.Root())})
+	return append(b, '}'), nil
+}
+
+func appendSpatialNode(b []byte, n core.NodeRef) ([]byte, error) {
+	region := n.Region()
+	b = append(b, `{"lo":`...)
+	b, err := appendWireFloats(b, region.Lo)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"hi":`...)
+	if b, err = appendWireFloats(b, region.Hi); err != nil {
+		return b, err
+	}
+	if n.IsLeaf() {
+		b = append(b, `,"count":`...)
+		if b, err = appendWireFloat(b, n.Count()); err != nil {
+			return b, err
+		}
+		return append(b, '}'), nil
+	}
+	b = append(b, `,"children":[`...)
+	for i := 0; i < n.NumChildren(); i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = appendSpatialNode(b, n.Child(i)); err != nil {
+			return b, err
+		}
+	}
+	return append(b, "]}"...), nil
 }
 
 // wireRect validates one serialized node's bounds and returns the region.
@@ -69,65 +94,92 @@ const maxWireFanout = 1 << 20
 // counts are reconstructed as leaf sums, exactly as the release pipeline
 // defines them. Malformed input — truncated documents, inverted or
 // non-finite bounds, children escaping their parent, wrong child arity,
-// missing or non-finite leaf counts — is rejected with an error before any
-// tree is exposed; t is left unmodified on failure.
+// missing leaf counts — is rejected with an error before any tree is
+// exposed; t is left unmodified on failure.
 func (t *SpatialTree) UnmarshalJSON(data []byte) error {
-	var wire treeJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
+	r := &wireReader{data: data}
+	tree, err := readSpatialPayload(r)
+	if err != nil {
 		return err
 	}
-	if wire.Version != 1 {
-		return fmt.Errorf("privtree: unsupported tree version %d", wire.Version)
+	if err := r.end(); err != nil {
+		return err
 	}
-	if wire.Fanout < 2 || wire.Fanout > maxWireFanout {
-		return fmt.Errorf("privtree: unusable fanout %d", wire.Fanout)
+	t.tree = tree
+	return nil
+}
+
+// readSpatialPayload decodes the payload document at the cursor: one pass
+// over the bytes fills a wire-node table, then one walk of that table
+// validates every node and lays the arena out depth first, each node's
+// children as one block — the layout the builder gives a fresh build.
+func readSpatialPayload(r *wireReader) (*core.Tree, error) {
+	t := newTreeReader(r, "lo", "hi", "count")
+	var version, fanout int
+	err := r.fields(func(key []byte) error {
+		switch string(key) {
+		case "version":
+			return r.intInto(&version)
+		case "fanout":
+			return r.intInto(&fanout)
+		case "root":
+			return t.node(0)
+		}
+		return r.skip()
+	})
+	if err != nil {
+		return nil, err
 	}
-	b := core.NewBuilder(wire.Fanout, 64)
-	var conv func(w nodeJSON, idx int32) error
-	conv = func(w nodeJSON, idx int32) error {
-		if len(w.Children) == 0 {
-			if w.Count == nil {
+	if version != 1 {
+		return nil, fmt.Errorf("privtree: unsupported tree version %d", version)
+	}
+	if fanout < 2 || fanout > maxWireFanout {
+		return nil, fmt.Errorf("privtree: unusable fanout %d", fanout)
+	}
+	root := &t.nodes[0]
+	rootRegion, err := wireRect(root.a, root.b)
+	if err != nil {
+		return nil, err
+	}
+	b := core.NewBuilder(fanout, len(t.nodes))
+	b.AddRoot(rootRegion)
+	var regions []geom.Rect
+	var conv func(w *wireNode, idx int32) error
+	conv = func(w *wireNode, idx int32) error {
+		if w.n == 0 {
+			if math.IsNaN(w.count) {
 				return fmt.Errorf("privtree: leaf without count")
 			}
-			if math.IsNaN(*w.Count) || math.IsInf(*w.Count, 0) {
-				return fmt.Errorf("privtree: non-finite leaf count")
-			}
-			b.SetCount(idx, *w.Count)
+			b.SetCount(idx, w.count)
 			return nil
 		}
-		if len(w.Children) != wire.Fanout {
-			return fmt.Errorf("privtree: node has %d children, fanout is %d", len(w.Children), wire.Fanout)
+		if int(w.n) != fanout {
+			return fmt.Errorf("privtree: node has %d children, fanout is %d", w.n, fanout)
 		}
 		parentRegion := b.Node(idx).Region
-		regions := make([]geom.Rect, len(w.Children))
-		for i, cw := range w.Children {
-			r, err := wireRect(cw.Lo, cw.Hi)
+		regions = regions[:0]
+		for c, k := w.first, int32(0); k < w.n; c, k = t.nodes[c].next, k+1 {
+			r, err := wireRect(t.nodes[c].a, t.nodes[c].b)
 			if err != nil {
 				return err
 			}
-			regions[i] = r
-			if !parentRegion.ContainsRect(regions[i]) {
+			if !parentRegion.ContainsRect(r) {
 				return fmt.Errorf("privtree: child region escapes parent")
 			}
+			regions = append(regions, r)
 		}
 		first := b.AddChildren(idx, regions)
-		for i, cw := range w.Children {
-			if err := conv(cw, first+int32(i)); err != nil {
+		for c, k := w.first, int32(0); k < w.n; c, k = t.nodes[c].next, k+1 {
+			if err := conv(&t.nodes[c], first+k); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	rootRegion, err := wireRect(wire.Root.Lo, wire.Root.Hi)
-	if err != nil {
-		return err
-	}
-	b.AddRoot(rootRegion)
-	if err := conv(wire.Root, 0); err != nil {
-		return err
+	if err := conv(root, 0); err != nil {
+		return nil, err
 	}
 	tree := b.Build(true)
 	tree.SumInternalCounts()
-	t.tree = tree
-	return nil
+	return tree, nil
 }

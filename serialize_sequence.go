@@ -1,9 +1,9 @@
 package privtree
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
+	"slices"
+	"strconv"
 
 	"privtree/internal/markov"
 	"privtree/internal/pst"
@@ -17,44 +17,56 @@ const (
 	maxWireLTop     = 1 << 20
 )
 
-// modelJSON is the wire form of a SequenceModel: predictor-tree structure
-// plus the released noisy histograms — the exact content of the ε-DP
-// release.
-type modelJSON struct {
-	Version  int         `json:"version"`
-	Alphabet int         `json:"alphabet"`
-	LTop     int         `json:"ltop"`
-	Root     pstNodeJSON `json:"root"`
-}
+// The sequence payload document is
+//
+//	{"version":1,"alphabet":k,"ltop":l⊤,"root":NODE}
+//	NODE = {"hist":[β counts]}                        (leaf)
+//	     | {"hist":[β counts],"children":[NODE × β]} (expanded)
+//
+// with β = k+1: the predictor-tree structure plus the released noisy
+// histograms — the exact content of the ε-DP release.
 
-type pstNodeJSON struct {
-	Hist     []float64     `json:"hist"`
-	Children []pstNodeJSON `json:"children,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler for SequenceModel. The nested wire
-// shape is produced by one walk of the flat arena; histogram slices alias
-// the model's shared slab (the encoder only reads them).
+// MarshalJSON implements json.Marshaler for SequenceModel.
 func (m *SequenceModel) MarshalJSON() ([]byte, error) {
+	return appendSequencePayload(nil, m)
+}
+
+// appendSequencePayload appends the payload document in one walk of the
+// arena, sizing the buffer up front from the histogram slab.
+func appendSequencePayload(b []byte, m *SequenceModel) ([]byte, error) {
 	t := &m.model.Tree
-	beta := t.Fanout()
-	var conv func(i int32) pstNodeJSON
-	conv = func(i int32) pstNodeJSON {
-		out := pstNodeJSON{Hist: t.HistAt(i)}
-		if fc := t.Nodes[i].FirstChild; fc != 0 {
-			out.Children = make([]pstNodeJSON, beta)
-			for x := 0; x < beta; x++ {
-				out.Children[x] = conv(fc + int32(x))
+	b = slices.Grow(b, len(t.Hists)*20+len(t.Nodes)*24+64)
+	b = append(b, `{"version":1,"alphabet":`...)
+	b = strconv.AppendInt(b, int64(t.Alphabet.Size), 10)
+	b = append(b, `,"ltop":`...)
+	b = strconv.AppendInt(b, int64(m.lTop), 10)
+	b = append(b, `,"root":`...)
+	b, err := appendSequenceNode(b, t, 0)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
+func appendSequenceNode(b []byte, t *pst.Tree, i int32) ([]byte, error) {
+	b = append(b, `{"hist":`...)
+	b, err := appendWireFloats(b, t.HistAt(i))
+	if err != nil {
+		return b, err
+	}
+	if fc := t.Nodes[i].FirstChild; fc != 0 {
+		b = append(b, `,"children":[`...)
+		for x := int32(0); x < int32(t.Fanout()); x++ {
+			if x > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendSequenceNode(b, t, fc+x); err != nil {
+				return b, err
 			}
 		}
-		return out
+		b = append(b, ']')
 	}
-	return json.Marshal(modelJSON{
-		Version:  1,
-		Alphabet: t.Alphabet.Size,
-		LTop:     m.lTop,
-		Root:     conv(0),
-	})
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler for SequenceModel. Contexts
@@ -63,96 +75,122 @@ func (m *SequenceModel) MarshalJSON() ([]byte, error) {
 // carries structure and histograms.
 //
 // The document is fully validated before a model is handed back: version
-// and alphabet shape, histogram arity at every node, finite non-negative
-// counts (a released histogram is clamped ≥ 0; NaN/±Inf would poison every
-// downstream estimate), children arity, no children under a $-anchored
-// context, and depth within l⊤. Truncated or otherwise malformed documents
-// leave the receiver untouched.
+// and alphabet shape, histogram arity at every node, non-negative counts
+// (a released histogram is clamped ≥ 0), children arity, no children
+// under a $-anchored context, and depth within l⊤. Truncated or otherwise
+// malformed documents leave the receiver untouched.
 func (m *SequenceModel) UnmarshalJSON(data []byte) error {
-	var wire modelJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
+	r := &wireReader{data: data}
+	model, lTop, err := readSequencePayload(r)
+	if err != nil {
 		return err
 	}
-	if wire.Version != 1 {
-		return fmt.Errorf("privtree: unsupported model version %d", wire.Version)
+	if err := r.end(); err != nil {
+		return err
 	}
-	if wire.Alphabet < 1 || wire.Alphabet > maxWireAlphabet {
-		return fmt.Errorf("privtree: model alphabet %d invalid", wire.Alphabet)
+	m.model, m.lTop = model, lTop
+	return nil
+}
+
+// readSequencePayload decodes the payload document at the cursor: one
+// pass over the bytes fills a wire-node table, then one walk of that
+// table validates every node and lays the arena and its histogram slab
+// out depth first, each expanded node's β children as one block.
+func readSequencePayload(r *wireReader) (*markov.Model, int, error) {
+	t := newTreeReader(r, "hist", "", "")
+	var version, k, lTop int
+	err := r.fields(func(key []byte) error {
+		switch string(key) {
+		case "version":
+			return r.intInto(&version)
+		case "alphabet":
+			return r.intInto(&k)
+		case "ltop":
+			return r.intInto(&lTop)
+		case "root":
+			return t.node(0)
+		}
+		return r.skip()
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	if wire.LTop < 1 || wire.LTop > maxWireLTop {
-		return fmt.Errorf("privtree: model max length %d invalid", wire.LTop)
+	if version != 1 {
+		return nil, 0, fmt.Errorf("privtree: unsupported model version %d", version)
 	}
-	k := wire.Alphabet
+	if k < 1 || k > maxWireAlphabet {
+		return nil, 0, fmt.Errorf("privtree: model alphabet %d invalid", k)
+	}
+	if lTop < 1 || lTop > maxWireLTop {
+		return nil, 0, fmt.Errorf("privtree: model max length %d invalid", lTop)
+	}
 	beta := k + 1
+	arity := func(w *wireNode) error {
+		if len(w.a) != beta {
+			return fmt.Errorf("privtree: histogram arity %d, want |I|+1 = %d", len(w.a), beta)
+		}
+		return nil
+	}
 	// Root arity first: it bounds every allocation that follows (a document
 	// claiming a huge alphabet must actually carry β floats per node).
-	if len(wire.Root.Hist) != beta {
-		return fmt.Errorf("privtree: histogram arity %d, want |I|+1 = %d", len(wire.Root.Hist), beta)
+	if err := arity(&t.nodes[0]); err != nil {
+		return nil, 0, err
 	}
-
-	nodes := make([]pst.Node, 1, 16)
-	hists := make([]float64, beta) // grows with validated content only
-	var fill func(idx int32, w *pstNodeJSON, depth int, anchored bool) error
-	fill = func(idx int32, w *pstNodeJSON, depth int, anchored bool) error {
-		if len(w.Hist) != beta {
-			return fmt.Errorf("privtree: histogram arity %d, want |I|+1 = %d", len(w.Hist), beta)
+	// Both slabs are sized from what the document actually carried: one
+	// arena node per wire node at most, one histogram slot per float read.
+	nodes := make([]pst.Node, 1, len(t.nodes))
+	hists := make([]float64, beta, min(len(t.nodes)*beta, t.floatsRead))
+	var fill func(w *wireNode, idx int32, depth int, anchored bool) error
+	fill = func(w *wireNode, idx int32, depth int, anchored bool) error {
+		if err := arity(w); err != nil {
+			return err
 		}
-		for _, v := range w.Hist {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("privtree: non-finite histogram count %v", v)
-			}
+		for _, v := range w.a {
 			if v < 0 {
 				return fmt.Errorf("privtree: negative histogram count %v (releases are clamped >= 0)", v)
 			}
 		}
-		copy(hists[int(idx)*beta:(int(idx)+1)*beta], w.Hist)
-		if len(w.Children) == 0 {
+		copy(hists[int(idx)*beta:(int(idx)+1)*beta], w.a)
+		if w.n == 0 {
 			return nil
 		}
-		if len(w.Children) != beta {
-			return fmt.Errorf("privtree: node has %d children, want |I|+1 = %d", len(w.Children), beta)
+		if int(w.n) != beta {
+			return fmt.Errorf("privtree: node has %d children, want |I|+1 = %d", w.n, beta)
 		}
 		if anchored {
 			return fmt.Errorf("privtree: $-anchored context cannot have children")
 		}
-		if depth >= wire.LTop {
-			return fmt.Errorf("privtree: node at depth %d expanded beyond max length %d", depth, wire.LTop)
+		if depth >= lTop {
+			return fmt.Errorf("privtree: node at depth %d expanded beyond max length %d", depth, lTop)
 		}
 		// Check every child's arity BEFORE the β²-sized arena append, so the
 		// allocation below is always bounded by floats the document actually
-		// carries — a hostile document claiming a huge alphabet cannot drive
-		// an O(alphabet²) allocation off a few empty child objects.
-		for x := range w.Children {
-			if len(w.Children[x].Hist) != beta {
-				return fmt.Errorf("privtree: histogram arity %d, want |I|+1 = %d", len(w.Children[x].Hist), beta)
+		// carries.
+		for c, x := w.first, 0; x < beta; c, x = t.nodes[c].next, x+1 {
+			if err := arity(&t.nodes[c]); err != nil {
+				return err
 			}
 		}
 		first := int32(len(nodes))
-		for x := 0; x < beta; x++ {
-			nodes = append(nodes, pst.Node{})
-			for j := 0; j < beta; j++ {
-				hists = append(hists, 0)
-			}
-		}
+		nodes = append(nodes, make([]pst.Node, beta)...)
+		hists = append(hists, make([]float64, beta*beta)...)
 		nodes[idx].FirstChild = first
-		for x := 0; x < beta; x++ {
-			if err := fill(first+int32(x), &w.Children[x], depth+1, x == k); err != nil {
+		for c, x := w.first, 0; x < beta; c, x = t.nodes[c].next, x+1 {
+			if err := fill(&t.nodes[c], first+int32(x), depth+1, x == k); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := fill(0, &wire.Root, 0, false); err != nil {
-		return err
+	if err := fill(&t.nodes[0], 0, 0, false); err != nil {
+		return nil, 0, err
 	}
-	t := pst.Tree{
+	tree := pst.Tree{
 		Alphabet: sequence.NewAlphabet(k),
 		Nodes:    nodes,
 		Hists:    hists,
 		EndIndex: k,
 	}
-	t.Finalize()
-	m.model = &markov.Model{Tree: t}
-	m.lTop = wire.LTop
-	return nil
+	tree.Finalize()
+	return &markov.Model{Tree: tree}, lTop, nil
 }
