@@ -7,9 +7,12 @@ package privtree
 
 import (
 	"io"
+	"math/rand/v2"
 	"testing"
 
 	"privtree/internal/experiments"
+	"privtree/internal/synth"
+	"privtree/internal/workload"
 )
 
 // benchConfig is the reduced-scale configuration shared by the figure
@@ -170,6 +173,29 @@ func BenchmarkRangeCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.RangeCount(q)
+	}
+}
+
+// rangeCountSink keeps the compiler from discarding benchmarked answers.
+var rangeCountSink float64
+
+// BenchmarkRangeCountMixed times the read path's real query shape: one
+// batch of 256 §6.1 rectangles (small, medium and large interleaved) per
+// op over a release of 1M road-like points (about 100k nodes).
+func BenchmarkRangeCountMixed(b *testing.B) {
+	dom := UnitCube(2)
+	pts := synth.RoadLike(1_000_000, rand.New(rand.NewPCG(500, 600))).Points
+	tree, err := BuildSpatial(dom, pts, 1.0, SpatialOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rects := workload.MixedQueries(dom, 256, rand.New(rand.NewPCG(700, 800)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range rects {
+			rangeCountSink += tree.RangeCount(r)
+		}
 	}
 }
 

@@ -19,6 +19,8 @@ import (
 	"privtree/internal/obs"
 	"privtree/internal/server"
 	"privtree/internal/store"
+	"privtree/internal/synth"
+	"privtree/internal/workload"
 )
 
 // This file implements the -micro mode: it measures the repository's core
@@ -71,6 +73,23 @@ func microPoints(n int) []privtree.Point {
 		}
 	}
 	return pts
+}
+
+// rangeCountSink keeps the compiler from discarding benchmarked answers.
+var rangeCountSink float64
+
+// mixedQueryBatch is the read path's real query shape: a release of 1M
+// road-like points at ε = 1 (about 100k nodes, beyond L2) and one batch of
+// 256 §6.1 rectangles, the small, medium and large size classes
+// interleaved.
+func mixedQueryBatch() (*privtree.SpatialTree, []privtree.Rect, error) {
+	dom := privtree.UnitCube(2)
+	pts := synth.RoadLike(1_000_000, rand.New(rand.NewPCG(500, 600))).Points
+	tree, err := privtree.BuildSpatial(dom, pts, 1.0, privtree.SpatialOptions{Seed: 1})
+	if err != nil {
+		return nil, nil, err
+	}
+	return tree, workload.MixedQueries(dom, 256, rand.New(rand.NewPCG(700, 800))), nil
 }
 
 // microSequences mirrors the sticky-chain clickstreams of the package
@@ -360,6 +379,10 @@ func runMicro(outPath, comparePath string, nsHeadroom float64) error {
 		return err
 	}
 	q := privtree.NewRect(privtree.Point{0.2, 0.2}, privtree.Point{0.6, 0.6})
+	mixedTree, mixedRects, err := mixedQueryBatch()
+	if err != nil {
+		return err
+	}
 	queryModel, err := privtree.BuildSequenceModel(6, seqs, 1.0, privtree.SequenceOptions{MaxLength: 20, Seed: 1})
 	if err != nil {
 		return err
@@ -406,6 +429,16 @@ func runMicro(outPath, comparePath string, nsHeadroom float64) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				queryTree.RangeCount(q)
+			}
+		}},
+		// RangeCountMixed answers one 256-rectangle batch per op, serially:
+		// the per-rectangle cost the query plane pays on a large release.
+		{"RangeCountMixed", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range mixedRects {
+					rangeCountSink += mixedTree.RangeCount(r)
+				}
 			}
 		}},
 		// Workers is pinned to 1 and the seed is fixed so allocs/op is
@@ -680,6 +713,7 @@ func runMicro(outPath, comparePath string, nsHeadroom float64) error {
 // slack to absorb its scheduling variance.
 var guardedBenchmarks = map[string]bool{
 	"RangeCount":            true,
+	"RangeCountMixed":       true,
 	"BuildSequenceModel":    true,
 	"EstimateFrequency":     true,
 	"TopK20x5":              true,

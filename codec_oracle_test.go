@@ -77,7 +77,7 @@ func oracleUnmarshalSpatial(data []byte) (*core.Tree, error) {
 		if len(w.Children) != wire.Fanout {
 			return fmt.Errorf("node has %d children, fanout is %d", len(w.Children), wire.Fanout)
 		}
-		parentRegion := b.Node(idx).Region
+		parentRegion := b.Region(idx)
 		regions := make([]geom.Rect, len(w.Children))
 		for i, cw := range w.Children {
 			r, err := wireRect(cw.Lo, cw.Hi)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -355,6 +356,39 @@ func FuzzEnvelopeDecodeDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSpatialDecodeWideRootAllocationBounded feeds payloads whose root
+// has many dimensions and many empty child objects. They must be
+// rejected with an error, allocating in proportion to the input: the
+// wire table counts every child entry, so pre-sizing the coordinate slab
+// from it would reserve 2·d floats per rejected entry (128 MB here, and
+// a fatal out-of-memory at sizes a 1 MB document reaches).
+func TestSpatialDecodeWideRootAllocationBounded(t *testing.T) {
+	const d, kids = 2000, 4000
+	axis := func(v string) string { return "[" + strings.TrimSuffix(strings.Repeat(v+",", d), ",") + "]" }
+	children := strings.TrimSuffix(strings.Repeat("{},", kids), ",")
+	for _, fanout := range []string{"2", "4000"} {
+		payload := `{"version":1,"fanout":` + fanout + `,"root":{"lo":` + axis("0") + `,"hi":` + axis("1") +
+			`,"children":[` + children + `]}}`
+		envelope := `{"privtree_release":1,"kind":"spatial","payload":` + payload + `}`
+		decoders := map[string]func() error{
+			"UnmarshalJSON": func() error { return new(SpatialTree).UnmarshalJSON([]byte(payload)) },
+			"Decode":        func() error { _, err := Decode([]byte(envelope)); return err },
+		}
+		for name, decode := range decoders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := decode()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("fanout %s, %s: accepted a root with %d empty children", fanout, name, kids)
+			}
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(envelope)); got > limit {
+				t.Errorf("fanout %s, %s: allocated %d bytes for a %d-byte input (limit %d)", fanout, name, got, len(envelope), limit)
+			}
+		}
+	}
 }
 
 // TestCodecReaderAgreesOnHostileInputs runs the differential check over

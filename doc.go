@@ -69,9 +69,12 @@
 //
 // The hot paths are engineered to be allocation-free in steady state:
 // decomposition trees are stored as flat node arenas (children as
-// contiguous index blocks, coordinates in chunked slabs), the per-node and
-// per-query geometry writes into caller-provided buffers, and RangeCount
-// performs zero heap allocations per query. Tree construction draws every
+// contiguous index blocks) with every region's coordinates in one flat
+// slab in arena order, the per-node and per-query geometry writes into
+// caller-provided buffers, and RangeCount performs zero heap allocations
+// per query: it walks the slab directly, with the float operations of the
+// geom.Rect methods in their order, so its answers are bit-identical to a
+// Rect-based traversal. Tree construction draws every
 // node's noise from a splittable stream keyed by the node's path from the
 // root, so subtrees can be built on a worker pool
 // (SpatialOptions.Workers) while remaining a pure function of the seed:

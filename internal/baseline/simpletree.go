@@ -47,7 +47,7 @@ func NewSimpleTree(data *dataset.Spatial, split geom.Splitter, eps, theta float6
 		if !(noisy > theta) || int(n.Depth) >= h-1 {
 			return
 		}
-		regions := split.Split(n.Region, int(n.Depth))
+		regions := split.Split(b.Region(idx), int(n.Depth))
 		views := view.PartitionInto(regions, make([]dataset.View, len(regions)))
 		first := b.AddChildren(idx, regions)
 		for i := range regions {

@@ -176,7 +176,7 @@ func TestEndToEndDPCatchesBrokenMechanism(t *testing.T) {
 				if float64(view.Len())+dp.LapNoise(rng, lambda) <= 0.5 {
 					return
 				}
-				regions := split.Split(n.Region, int(n.Depth))
+				regions := split.Split(b.Region(idx), int(n.Depth))
 				views := view.PartitionInto(regions, make([]dataset.View, len(regions)))
 				first := b.AddChildren(idx, regions)
 				for ci := range regions {

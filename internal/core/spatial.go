@@ -117,7 +117,7 @@ func (c *buildCtx) expand(b *Builder, idx int32, view dataset.View, stream dp.St
 		}
 		return
 	}
-	region := b.Node(idx).Region
+	region := b.Region(idx)
 	ls := c.level(scratch, depth)
 	regions := c.split.SplitInto(region, depth, ls.rects)
 	ls.rects = regions
@@ -136,8 +136,7 @@ func (c *buildCtx) expand(b *Builder, idx int32, view dataset.View, stream dp.St
 		subs := make([]*Builder, len(regions))
 		var wg sync.WaitGroup
 		for i := range regions {
-			sub := NewBuilder(c.fanout, 64)
-			sub.nodes = append(sub.nodes, b.nodes[first+int32(i)])
+			sub := b.subBuilder(first + int32(i))
 			subs[i] = sub
 			childStream := stream.Child(i)
 			childView := views[i]
@@ -208,26 +207,54 @@ func BuildNoisyParams(data *dataset.Spatial, split geom.Splitter, p Params, epsC
 // RangeCount answers a range-count query with the top-down traversal of
 // Section 2.2: fully contained nodes contribute their noisy count, leaves
 // that partially intersect contribute count · |q∩dom|/|dom| (uniformity
-// assumption), disjoint nodes are skipped. It performs no heap allocation.
-// It panics if the tree carries no counts.
+// assumption), disjoint nodes are skipped. A query whose dimensionality
+// differs from the tree's gets 0. It performs no heap allocation. It
+// panics if the tree carries no counts.
+//
+// The walk reads regions straight from the coordinate slab, with a loop
+// unrolled for d = 2 and a generic one otherwise. Both perform the float
+// operations of geom.Rect.IntersectionVolume, ContainsRect and Volume in
+// their order, and sum children in arena order, so the answer is
+// bit-identical to evaluating those methods on each node's Region.
 func (t *Tree) RangeCount(q geom.Rect) float64 {
 	if !t.HasCounts {
 		panic("core: RangeCount on a tree without released counts")
 	}
-	return t.rangeCountAt(0, q)
+	if len(q.Lo) != t.dims {
+		return 0
+	}
+	if t.dims == 2 {
+		return t.rangeCount2(0, q.Lo[0], q.Lo[1], q.Hi[0], q.Hi[1])
+	}
+	return t.rangeCountAt(0, q.Lo, q.Hi[:t.dims])
 }
 
-func (t *Tree) rangeCountAt(i int32, q geom.Rect) float64 {
-	n := &t.Nodes[i]
-	iv := n.Region.IntersectionVolume(q)
+func (t *Tree) rangeCount2(i int32, qlo0, qlo1, qhi0, qhi1 float64) float64 {
+	o := 4 * int(i)
+	c := t.coords[o : o+4 : o+4]
+	lo0, lo1, hi0, hi1 := c[0], c[1], c[2], c[3]
+	l, h := max(lo0, qlo0), min(hi0, qhi0)
+	if l >= h {
+		return 0
+	}
+	iv := 1.0
+	iv *= h - l
+	l, h = max(lo1, qlo1), min(hi1, qhi1)
+	if l >= h {
+		return 0
+	}
+	iv *= h - l
 	if iv == 0 {
 		return 0
 	}
-	if q.ContainsRect(n.Region) {
+	n := &t.Nodes[i]
+	if !(lo0 < qlo0 || hi0 > qhi0 || lo1 < qlo1 || hi1 > qhi1) {
 		return n.Count
 	}
 	if n.numChildren == 0 {
-		vol := n.Region.Volume()
+		vol := 1.0
+		vol *= hi0 - lo0
+		vol *= hi1 - lo1
 		if vol == 0 {
 			return 0
 		}
@@ -235,7 +262,51 @@ func (t *Tree) rangeCountAt(i int32, q geom.Rect) float64 {
 	}
 	sum := 0.0
 	for c := n.firstChild; c < n.firstChild+n.numChildren; c++ {
-		sum += t.rangeCountAt(c, q)
+		sum += t.rangeCount2(c, qlo0, qlo1, qhi0, qhi1)
+	}
+	return sum
+}
+
+func (t *Tree) rangeCountAt(i int32, qlo, qhi []float64) float64 {
+	d := len(qlo)
+	o := 2 * d * int(i)
+	lo := t.coords[o : o+d : o+d]
+	hi := t.coords[o+d : o+2*d : o+2*d]
+	iv := 1.0
+	for k := range lo {
+		l, h := max(lo[k], qlo[k]), min(hi[k], qhi[k])
+		if l >= h {
+			return 0
+		}
+		iv *= h - l
+	}
+	if iv == 0 {
+		return 0
+	}
+	n := &t.Nodes[i]
+	contained := true
+	for k := range lo {
+		if lo[k] < qlo[k] || hi[k] > qhi[k] {
+			contained = false
+			break
+		}
+	}
+	if contained {
+		return n.Count
+	}
+	if n.numChildren == 0 {
+		vol := 1.0
+		for k := range lo {
+			vol *= hi[k] - lo[k]
+		}
+		if vol == 0 {
+			return 0
+		}
+		return n.Count * (iv / vol)
+	}
+	sum := 0.0
+	for c := n.firstChild; c < n.firstChild+n.numChildren; c++ {
+		sum += t.rangeCountAt(c, qlo, qhi)
 	}
 	return sum
 }
@@ -257,7 +328,7 @@ func BuildExact(data *dataset.Spatial, split geom.Splitter, theta float64, maxDe
 		if float64(view.Len()) <= theta || depth >= maxDepth-1 {
 			return
 		}
-		region := b.Node(idx).Region
+		region := b.Region(idx)
 		ls := bc.level(&scratch, depth)
 		regions := split.SplitInto(region, depth, ls.rects)
 		ls.rects = regions

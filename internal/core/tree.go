@@ -6,20 +6,23 @@ import (
 	"privtree/internal/geom"
 )
 
-// Node is one region of a spatial decomposition tree, stored in the tree's
+// Node is one node of a spatial decomposition tree, stored in the tree's
 // flat node arena. Count is the released noisy count: for leaves it is the
 // directly perturbed value, for internal nodes the sum of their leaves'
 // noisy counts (the paper's post-processing, Section 3.4). Count is NaN on
 // trees built without count release.
+//
+// A node's region is not stored here but in the tree's coordinate slab
+// (see Tree), addressed by the node's arena index; NodeRef.Region and
+// Builder.Region return it.
 //
 // Children are identified by an index range into the arena rather than by
 // pointers: a split appends all β children as one contiguous block, so the
 // whole tree costs O(1) allocations per arena growth instead of O(1) per
 // node, and traversals walk cache-friendly contiguous memory.
 type Node struct {
-	Region geom.Rect
-	Count  float64
-	Depth  int32
+	Count float64
+	Depth int32
 	// firstChild indexes the node's first child in the arena; 0 marks a
 	// leaf (the root occupies index 0 and is never anyone's child).
 	firstChild  int32
@@ -33,15 +36,35 @@ func (n *Node) IsLeaf() bool { return n.numChildren == 0 }
 func (n *Node) NumChildren() int { return int(n.numChildren) }
 
 // Tree is the output of PrivTree on spatial data: the decomposition plus,
-// optionally, noisy counts. Nodes is the arena in depth-first order (each
-// node's descendants follow it, children as contiguous blocks); Nodes[0] is
-// the root. Treat the arena as read-only outside this package except
-// through Builder.
+// optionally, noisy counts. Nodes is the arena (each node's children are
+// one contiguous block placed after it); Nodes[0] is the root. Treat the
+// arena as read-only outside this package except through Builder.
+//
+// Region coordinates live in one flat slab, coords, in arena order: node
+// i owns the 2·d floats at coords[2·d·i:], its d lower bounds followed by
+// its d upper bounds. A coordinate is written once, when its node is
+// added, and never rewritten, so a Region handed out by NodeRef or
+// Builder — a pair of sub-slices of the slab — stays valid for the life
+// of the tree.
 type Tree struct {
 	Nodes  []Node
 	Fanout int
 	// HasCounts records whether noisy counts were released onto nodes.
 	HasCounts bool
+
+	coords []float64
+	dims   int
+}
+
+// Dims returns the dimensionality of the tree's regions.
+func (t *Tree) Dims() int { return t.dims }
+
+// slabRegion returns node i's region as sub-slices of a coordinate slab
+// laid out as Tree describes. The slices are capacity-capped, so an
+// append by the caller can never overwrite a neighbour's coordinates.
+func slabRegion(coords []float64, d int, i int32) geom.Rect {
+	o := 2 * d * int(i)
+	return geom.Rect{Lo: coords[o : o+d : o+d], Hi: coords[o+d : o+2*d : o+2*d]}
 }
 
 // NodeRef is a handle to one node of a tree: a value type (tree pointer +
@@ -64,8 +87,8 @@ func (r NodeRef) Node() *Node { return &r.t.Nodes[r.i] }
 func (r NodeRef) Index() int { return int(r.i) }
 
 // Region returns the node's region. The rectangle aliases the tree's
-// storage and must not be mutated.
-func (r NodeRef) Region() geom.Rect { return r.t.Nodes[r.i].Region }
+// coordinate slab and must not be mutated; it performs no allocation.
+func (r NodeRef) Region() geom.Rect { return slabRegion(r.t.coords, r.t.dims, r.i) }
 
 // Count returns the node's released noisy count (NaN without counts).
 func (r NodeRef) Count() float64 { return r.t.Nodes[r.i].Count }
@@ -145,11 +168,12 @@ func (t *Tree) SumInternalCounts() {
 }
 
 // Equal reports whether two trees are identical releases: same fanout,
-// count flag, and node-for-node identical arenas (regions, depths, counts
-// — NaN counts compare equal — and child links). Serial and parallel
-// builds from the same seed must satisfy Equal exactly.
+// count flag, dimensionality, and node-for-node identical arenas (regions,
+// depths, counts — NaN counts compare equal — and child links). Serial and
+// parallel builds from the same seed must satisfy Equal exactly.
 func Equal(a, b *Tree) bool {
-	if a.Fanout != b.Fanout || a.HasCounts != b.HasCounts || len(a.Nodes) != len(b.Nodes) {
+	if a.Fanout != b.Fanout || a.HasCounts != b.HasCounts || a.dims != b.dims ||
+		len(a.Nodes) != len(b.Nodes) || len(a.coords) != len(b.coords) {
 		return false
 	}
 	for i := range a.Nodes {
@@ -160,38 +184,32 @@ func Equal(a, b *Tree) bool {
 		if na.Count != nb.Count && !(math.IsNaN(na.Count) && math.IsNaN(nb.Count)) {
 			return false
 		}
-		if len(na.Region.Lo) != len(nb.Region.Lo) {
+	}
+	for k := range a.coords {
+		if a.coords[k] != b.coords[k] {
 			return false
-		}
-		for k := range na.Region.Lo {
-			if na.Region.Lo[k] != nb.Region.Lo[k] || na.Region.Hi[k] != nb.Region.Hi[k] {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// coordSlabFloats is the chunk size of the Builder's coordinate arena. At
-// the quadtree default (d=2, 4 coords per node) one slab holds 1024 nodes'
-// regions, so coordinate storage costs O(size/1024) allocations.
-const coordSlabFloats = 4096
-
 // Builder assembles a Tree into its arena form. All tree constructors in
 // the repository — PrivTree itself, the SimpleTree baseline, the SVT
 // demonstration tree, and JSON deserialization — go through a Builder, so
 // they share the same allocation discipline: nodes land in a growing
-// []Node, and region coordinates are copied into chunked float slabs (the
-// caller may therefore reuse its scratch rectangles between AddChildren
-// calls).
+// []Node and region coordinates are appended to one growing coordinate
+// slab in the layout Tree describes (the caller may therefore reuse its
+// scratch rectangles between AddChildren calls). Every region of a tree
+// has the dimensionality of the root's.
 type Builder struct {
 	nodes  []Node
+	coords []float64
+	dims   int
 	fanout int
-	slab   []float64 // current coordinate slab, sliced down as it fills
 }
 
 // NewBuilder returns a builder for a tree of the given fanout. sizeHint, if
-// positive, pre-sizes the node arena.
+// positive, pre-sizes the node arena and the coordinate slab.
 func NewBuilder(fanout, sizeHint int) *Builder {
 	if sizeHint < 1 {
 		sizeHint = 16
@@ -199,31 +217,42 @@ func NewBuilder(fanout, sizeHint int) *Builder {
 	return &Builder{nodes: make([]Node, 0, sizeHint), fanout: fanout}
 }
 
-// copyRegion copies r into the coordinate arena and returns the copy.
-func (b *Builder) copyRegion(r geom.Rect) geom.Rect {
-	d := len(r.Lo)
-	if len(b.slab) < 2*d {
-		n := coordSlabFloats
-		if n < 2*d {
-			n = 2 * d
-		}
-		b.slab = make([]float64, n)
+// reserve makes room for n more nodes in the arena and the slab. Both
+// double when full: append's own growth drops to 1.25× on large slices,
+// which would cost a build several times more reallocations.
+func (b *Builder) reserve(n int) {
+	if need := len(b.nodes) + n; need > cap(b.nodes) {
+		grown := make([]Node, len(b.nodes), max(2*cap(b.nodes), need))
+		copy(grown, b.nodes)
+		b.nodes = grown
 	}
-	lo := b.slab[:d:d]
-	hi := b.slab[d : 2*d : 2*d]
-	b.slab = b.slab[2*d:]
-	copy(lo, r.Lo)
-	copy(hi, r.Hi)
-	return geom.Rect{Lo: lo, Hi: hi}
+	if need := len(b.coords) + 2*b.dims*n; need > cap(b.coords) {
+		grown := make([]float64, len(b.coords), max(2*cap(b.coords), need))
+		copy(grown, b.coords)
+		b.coords = grown
+	}
 }
 
-// AddRoot places the root node (index 0) with the given region. It must be
-// called exactly once, before any AddChildren.
+// appendRegion appends r's coordinates to the slab.
+func (b *Builder) appendRegion(r geom.Rect) {
+	if len(r.Lo) != b.dims {
+		panic("core: region dimensionality differs from the root's")
+	}
+	b.coords = append(b.coords, r.Lo...)
+	b.coords = append(b.coords, r.Hi[:b.dims]...)
+}
+
+// AddRoot places the root node (index 0) with the given region, which
+// fixes the tree's dimensionality. It must be called exactly once, before
+// any AddChildren.
 func (b *Builder) AddRoot(region geom.Rect) int32 {
 	if len(b.nodes) != 0 {
 		panic("core: Builder.AddRoot on a non-empty builder")
 	}
-	b.nodes = append(b.nodes, Node{Region: b.copyRegion(region), Depth: 0, Count: math.NaN()})
+	b.dims = len(region.Lo)
+	b.coords = make([]float64, 0, 2*b.dims*cap(b.nodes))
+	b.appendRegion(region)
+	b.nodes = append(b.nodes, Node{Depth: 0, Count: math.NaN()})
 	return 0
 }
 
@@ -232,10 +261,12 @@ func (b *Builder) AddRoot(region geom.Rect) int32 {
 // parent depth + 1 and counts start at NaN. The regions are copied, so the
 // caller may reuse the slice.
 func (b *Builder) AddChildren(parent int32, regions []geom.Rect) int32 {
+	b.reserve(len(regions))
 	first := int32(len(b.nodes))
 	depth := b.nodes[parent].Depth + 1
 	for _, r := range regions {
-		b.nodes = append(b.nodes, Node{Region: b.copyRegion(r), Depth: depth, Count: math.NaN()})
+		b.appendRegion(r)
+		b.nodes = append(b.nodes, Node{Depth: depth, Count: math.NaN()})
 	}
 	b.nodes[parent].firstChild = first
 	b.nodes[parent].numChildren = int32(len(regions))
@@ -249,17 +280,33 @@ func (b *Builder) SetCount(i int32, count float64) { b.nodes[i].Count = count }
 // Node exposes node i for in-place inspection during construction.
 func (b *Builder) Node(i int32) *Node { return &b.nodes[i] }
 
+// Region returns node i's region. Like NodeRef.Region it aliases the
+// coordinate slab and must not be mutated; it stays valid while the
+// builder grows, because coordinates are never rewritten.
+func (b *Builder) Region(i int32) geom.Rect { return slabRegion(b.coords, b.dims, i) }
+
 // Len returns the number of nodes added so far.
 func (b *Builder) Len() int { return len(b.nodes) }
 
+// subBuilder returns a fresh builder whose root is a copy of node i (its
+// count, depth and region), for building i's subtree separately and
+// grafting it back with Splice.
+func (b *Builder) subBuilder(i int32) *Builder {
+	sub := NewBuilder(b.fanout, 64)
+	sub.AddRoot(b.Region(i))
+	sub.nodes[0] = b.nodes[i]
+	return sub
+}
+
 // Splice grafts a subtree built in a separate Builder onto child node
-// childIdx: sub's node 0 must describe childIdx itself (the parallel build
-// seeds it with a copy of that node); its descendants are appended to b
-// with child links rebased. Appending sub-builders in child order
-// reproduces exactly the arena layout a fully serial build would have
-// produced, which is what makes parallel builds byte-identical to serial
-// ones.
+// childIdx: sub's node 0 must describe childIdx itself (subBuilder seeds
+// it with a copy of that node); its descendants, nodes and coordinates,
+// are appended to b with child links rebased. Appending sub-builders in
+// child order reproduces exactly the arena layout a fully serial build
+// would have produced, which is what makes parallel builds byte-identical
+// to serial ones.
 func (b *Builder) Splice(childIdx int32, sub *Builder) {
+	b.reserve(len(sub.nodes) - 1)
 	base := int32(len(b.nodes)) - 1 // sub index j ≥ 1 lands at base+j
 	root := sub.nodes[0]
 	dst := &b.nodes[childIdx]
@@ -274,9 +321,10 @@ func (b *Builder) Splice(childIdx int32, sub *Builder) {
 		}
 		b.nodes = append(b.nodes, n)
 	}
+	b.coords = append(b.coords, sub.coords[2*sub.dims:]...)
 }
 
 // Build finalizes the tree. The builder must not be used afterwards.
 func (b *Builder) Build(hasCounts bool) *Tree {
-	return &Tree{Nodes: b.nodes, Fanout: b.fanout, HasCounts: hasCounts}
+	return &Tree{Nodes: b.nodes, Fanout: b.fanout, HasCounts: hasCounts, coords: b.coords, dims: b.dims}
 }

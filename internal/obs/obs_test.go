@@ -177,6 +177,46 @@ func TestRegistryRace(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentRegistration registers one counter, gauge and
+// histogram series from many goroutines released at once: every caller
+// must get the same instrument, and under -race the registration must not
+// race with itself or with a scrape.
+func TestRegistryConcurrentRegistration(t *testing.T) {
+	const workers = 32
+	reg := NewRegistry()
+	lbl := Label{"route", "query"}
+	counters := make([]*Counter, workers)
+	gauges := make([]*Gauge, workers)
+	hists := make([]*Histogram, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			hists[i] = reg.Histogram("privtree_reg_seconds", "t", nil, lbl)
+			counters[i] = reg.Counter("privtree_reg_total", "t", lbl)
+			gauges[i] = reg.Gauge("privtree_reg_level", "t", lbl)
+			hists[i].Observe(0.01)
+			counters[i].Inc()
+			if i%8 == 0 {
+				_ = reg.WriteText(&strings.Builder{})
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 1; i < workers; i++ {
+		if counters[i] != counters[0] || gauges[i] != gauges[0] || hists[i] != hists[0] {
+			t.Fatalf("goroutine %d got a different instrument for the same series", i)
+		}
+	}
+	if got := counters[0].Value(); got != workers {
+		t.Fatalf("counter = %d, want %d (an increment landed on a lost instrument)", got, workers)
+	}
+}
+
 // TestExpositionRoundTrip renders a registry with every instrument kind
 // and nasty label values, then feeds it to the strict parser.
 func TestExpositionRoundTrip(t *testing.T) {
@@ -208,10 +248,10 @@ func TestExpositionRoundTrip(t *testing.T) {
 		byKey[s.SeriesKey()] = s.Value
 	}
 	checks := map[string]float64{
-		"privtree_requests_total":                    12,
-		"privtree_http_requests_total{route=query}":  3,
-		"privtree_http_requests_total{route=create}": 4,
-		"privtree_live":                              7,
+		"privtree_requests_total":                     12,
+		"privtree_http_requests_total{route=query}":   3,
+		"privtree_http_requests_total{route=create}":  4,
+		"privtree_live":                               7,
 		"privtree_request_seconds_count{route=query}": 2,
 		"privtree_request_seconds_sum{route=query}":   2.003,
 	}

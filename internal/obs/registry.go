@@ -69,28 +69,19 @@ func NewRegistry() *Registry {
 // type clash with an existing family, or invalid labels — these are
 // programming errors at startup, not runtime conditions.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.getOrCreate(name, help, typeCounter, nil, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.getOrCreate(name, help, typeCounter, nil, labels, nil).counter
 }
 
 // Gauge returns the gauge named name with the given labels.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.getOrCreate(name, help, typeGauge, nil, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.getOrCreate(name, help, typeGauge, nil, labels, nil).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
 // time — for values that already live somewhere authoritative (a ledger's
 // spent ε, a gate's in-flight count) and must not be shadowed by a copy.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	s := r.getOrCreate(name, help, typeGauge, nil, labels)
-	s.fn = fn
+	r.getOrCreate(name, help, typeGauge, nil, labels, fn)
 }
 
 // Histogram returns the histogram named name with the given labels. The
@@ -98,14 +89,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 // it, later series must pass nil or an identical ladder. Bounds must be
 // strictly increasing and finite.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	s := r.getOrCreate(name, help, typeHistogram, buckets, labels)
-	if s.hist == nil {
-		r.mu.Lock()
-		fam := r.byName[name]
-		r.mu.Unlock()
-		s.hist = newHistogram(fam.buckets)
-	}
-	return s.hist
+	return r.getOrCreate(name, help, typeHistogram, buckets, labels, nil).hist
 }
 
 // OnScrape registers fn to run at the start of every WriteText, before
@@ -129,7 +113,11 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []float64, labels []Label) *series {
+// getOrCreate returns the series, creating it — and the instrument its
+// type implies — under the registry lock, so concurrent registrations of
+// one series all get the same instrument. A non-nil fn is installed as
+// the series' scrape-time value.
+func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []float64, labels []Label, fn func() float64) *series {
 	if err := checkMetricName(name); err != nil {
 		panic("obs: " + err.Error())
 	}
@@ -160,8 +148,19 @@ func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []floa
 	s, ok := fam.byLabels[key]
 	if !ok {
 		s = &series{labels: rendered}
+		switch typ {
+		case typeCounter:
+			s.counter = &Counter{}
+		case typeGauge:
+			s.gauge = &Gauge{}
+		case typeHistogram:
+			s.hist = newHistogram(fam.buckets)
+		}
 		fam.byLabels[key] = s
 		fam.series = append(fam.series, s)
+	}
+	if fn != nil {
+		s.fn = fn
 	}
 	return s
 }

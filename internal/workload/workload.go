@@ -83,6 +83,24 @@ func Queries(domain geom.Rect, class SizeClass, count int, rng *rand.Rand) []geo
 	return out
 }
 
+// MixedQueries returns count queries drawn from all three size classes,
+// interleaved small, medium, large, so every slice of the result mixes
+// the classes — the shape of a served query batch.
+func MixedQueries(domain geom.Rect, count int, rng *rand.Rand) []geom.Rect {
+	per := (count + 2) / 3
+	var classes [3][]geom.Rect
+	for c := range classes {
+		classes[c] = Queries(domain, SizeClass(c), per, rng)
+	}
+	out := make([]geom.Rect, 0, 3*per)
+	for i := 0; i < per; i++ {
+		for c := range classes {
+			out = append(out, classes[c][i])
+		}
+	}
+	return out[:count]
+}
+
 // RelativeError computes the paper's metric for one query:
 //
 //	RE = |q̂(D) − q(D)| / max{q(D), Δ}

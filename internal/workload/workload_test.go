@@ -52,6 +52,24 @@ func TestQueriesVolumeInBand(t *testing.T) {
 	}
 }
 
+// TestMixedQueriesInterleaveClasses checks that MixedQueries returns
+// exactly count queries whose i-th falls in size class i mod 3.
+func TestMixedQueriesInterleaveClasses(t *testing.T) {
+	dom := geom.UnitCube(2)
+	for _, count := range []int{1, 2, 256, 300} {
+		qs := MixedQueries(dom, count, rand.New(rand.NewPCG(2, 2)))
+		if len(qs) != count {
+			t.Fatalf("MixedQueries(%d) returned %d queries", count, len(qs))
+		}
+		for i, q := range qs {
+			lo, hi := SizeClass(i % 3).Bounds()
+			if frac := q.Volume() / dom.Volume(); frac < lo*0.99 || frac > hi*1.01 {
+				t.Fatalf("query %d of %d: volume fraction %v outside the %v band", i, count, frac, SizeClass(i%3))
+			}
+		}
+	}
+}
+
 func TestQueries4D(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	dom := geom.UnitCube(4)

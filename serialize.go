@@ -31,7 +31,7 @@ func (t *SpatialTree) MarshalJSON() ([]byte, error) {
 // appendSpatialPayload appends the payload document in one walk of the
 // arena, sizing the buffer up front from the node count.
 func appendSpatialPayload(b []byte, tree *core.Tree) ([]byte, error) {
-	d := len(tree.Nodes[0].Region.Lo)
+	d := tree.Dims()
 	b = slices.Grow(b, tree.Size()*(44*d+16)+64)
 	b = append(b, `{"version":1,"fanout":`...)
 	b = strconv.AppendInt(b, int64(tree.Fanout), 10)
@@ -141,7 +141,13 @@ func readSpatialPayload(r *wireReader) (*core.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := core.NewBuilder(fanout, len(t.nodes))
+	// Pre-size for no more nodes than the input can hold. Every node the
+	// builder stores carries 2·d numbers of at least two bytes each, while
+	// the wire table also counts entries, such as empty child objects, that
+	// validation rejects; sizing by the table alone would let a wide root
+	// over many such entries reserve d·len(t.nodes) floats.
+	hint := min(len(t.nodes), len(r.data)/(4*len(rootRegion.Lo))+1)
+	b := core.NewBuilder(fanout, hint)
 	b.AddRoot(rootRegion)
 	var regions []geom.Rect
 	var conv func(w *wireNode, idx int32) error
@@ -156,7 +162,7 @@ func readSpatialPayload(r *wireReader) (*core.Tree, error) {
 		if int(w.n) != fanout {
 			return fmt.Errorf("privtree: node has %d children, fanout is %d", w.n, fanout)
 		}
-		parentRegion := b.Node(idx).Region
+		parentRegion := b.Region(idx)
 		regions = regions[:0]
 		for c, k := w.first, int32(0); k < w.n; c, k = t.nodes[c].next, k+1 {
 			r, err := wireRect(t.nodes[c].a, t.nodes[c].b)
