@@ -171,6 +171,47 @@ func serverThroughputCase(pts []privtree.Point) (c struct {
 	return c, serverBatchSize, ts.Close, nil
 }
 
+// serverRecoverCase registers the 100k points inline in a fresh data dir
+// at dir and returns a case that restarts privtreed over it per op:
+// server.New reads dataset.json (the registration reader) and rebuilds
+// the dataset, with no release to recover; Close drops it again.
+func serverRecoverCase(dir string, pts []privtree.Point) (c struct {
+	name string
+	fn   func(b *testing.B)
+}, err error) {
+	srv, err := server.New(server.Options{DataDir: dir, Workers: 1})
+	if err != nil {
+		return c, err
+	}
+	body, err := json.Marshal(map[string]any{"name": "bench", "epsilon": 1.0, "points": pts})
+	if err != nil {
+		srv.Close()
+		return c, err
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", bytes.NewReader(body)))
+	if err := srv.Close(); err != nil {
+		return c, err
+	}
+	if rec.Code != http.StatusCreated {
+		return c, fmt.Errorf("registering the recovery dataset: %d %s", rec.Code, rec.Body.String())
+	}
+	c.name = "ServerRecover100k"
+	c.fn = func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			srv, err := server.New(server.Options{DataDir: dir, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := srv.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return c, nil
+}
+
 // Saturated-admission benchmark shape: loadClients concurrent posters per
 // op against a batch plane pinned to 2 slots + a 2-deep queue, so every
 // op exercises admission (including 429 sheds and client-side retries),
@@ -624,6 +665,12 @@ func runMicro(outPath, comparePath string, nsHeadroom float64) error {
 		}},
 	)
 
+	recoverCase, err := serverRecoverCase(filepath.Join(storeDir, "server"), pts100k)
+	if err != nil {
+		return err
+	}
+	cases = append(cases, recoverCase)
+
 	serverCase, _, closeServer, err := serverThroughputCase(pts100k)
 	if err != nil {
 		return err
@@ -724,6 +771,7 @@ var guardedBenchmarks = map[string]bool{
 	"FlightRecorderLookup":  true,
 	"StoreDebit":            true,
 	"StoreRecover10k":       true,
+	"ServerRecover100k":     true,
 	"ServerBatchUnderLoad":  true,
 	"IngestAppend":          true,
 	"StreamRelease10Epochs": true,
@@ -738,6 +786,11 @@ var allocsSlack = map[string]int64{
 	// allocations between runs.
 	"StoreDebit":      2,
 	"StoreRecover10k": 64,
+	// A restart opens the dataset's store and starts the server's
+	// background goroutines; at ~20 ops per run their allocations shift
+	// allocs/op by ±1. Decoding the 100k rows one slice each (the old
+	// reader) would add 100k.
+	"ServerRecover100k": 4,
 	// The under-load row is deliberately concurrent: 8 clients racing an
 	// admission gate means the number of sheds (each a full HTTP
 	// round-trip) varies run to run. The slack absorbs scheduling

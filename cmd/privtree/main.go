@@ -24,7 +24,8 @@
 // verify scrubs a privtreed data directory (or a single dataset store)
 // offline and read-only: WAL frame CRCs and sequence order, snapshot
 // integrity, every artifact's bytes against its content-address filename,
-// and every committed release against an existing artifact. Every finding
+// every committed release against an existing artifact, and (for a data
+// dir) every dataset.json, parsed by the reader recovery uses. Every finding
 // is printed with its severity; the exit status is non-zero when any
 // error-severity finding (real corruption, not benign crash leftovers)
 // is present. Run it against a copy or a stopped server — it takes the
@@ -64,6 +65,7 @@ import (
 
 	"privtree"
 	"privtree/internal/dp"
+	"privtree/internal/server"
 	"privtree/internal/store"
 	"privtree/internal/synth"
 )
@@ -241,16 +243,24 @@ func runInspect(paths []string) error {
 
 // runVerify implements the verify subcommand: an offline, read-only
 // integrity scrub of either one dataset store directory or a whole
-// privtreed data dir (every datasets/*/store under it).
+// privtreed data dir (every datasets/*/store under it, and every
+// datasets/*/dataset.json, read as recovery reads it).
 func runVerify(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: privtree verify <data-dir | store-dir>")
 	}
-	dirs, err := storeDirsUnder(args[0])
+	dirs, datasets, err := storeDirsUnder(args[0])
 	if err != nil {
 		return err
 	}
 	scrubErrors := 0
+	for _, ds := range datasets {
+		if err := server.CheckDatasetFile(ds); err != nil {
+			path := filepath.Join(ds, "dataset.json")
+			fmt.Printf("%s: CORRUPT\n  [error] %s: %v\n", path, path, err)
+			scrubErrors++
+		}
+	}
 	for _, dir := range dirs {
 		report, err := store.Scrub(dir)
 		if err != nil {
@@ -266,37 +276,38 @@ func runVerify(args []string) error {
 		}
 	}
 	if scrubErrors > 0 {
-		return fmt.Errorf("%d of %d store(s) failed verification", scrubErrors, len(dirs))
+		return fmt.Errorf("%d of %d store(s) and registration(s) failed verification", scrubErrors, len(dirs)+len(datasets))
 	}
-	fmt.Printf("OK: %d store(s) verified\n", len(dirs))
+	fmt.Printf("OK: %d store(s) and %d registration(s) verified\n", len(dirs), len(datasets))
 	return nil
 }
 
 // storeDirsUnder resolves the verify target: a directory holding a
-// ledger.wal is itself a store; otherwise it must be a privtreed data dir
-// whose datasets/<name>/store children are the stores.
-func storeDirsUnder(root string) ([]string, error) {
+// ledger.wal is itself a store; otherwise it must be a privtreed data dir,
+// whose datasets/<name> children each hold a dataset.json and usually a
+// store/.
+func storeDirsUnder(root string) (stores, datasets []string, err error) {
 	if _, err := os.Stat(filepath.Join(root, "ledger.wal")); err == nil {
-		return []string{root}, nil
+		return []string{root}, nil, nil
 	}
 	entries, err := os.ReadDir(filepath.Join(root, "datasets"))
 	if err != nil {
-		return nil, fmt.Errorf("%s is neither a store directory (no ledger.wal) nor a privtreed data dir (no datasets/): %v", root, err)
+		return nil, nil, fmt.Errorf("%s is neither a store directory (no ledger.wal) nor a privtreed data dir (no datasets/): %v", root, err)
 	}
-	var dirs []string
 	for _, ent := range entries {
 		if !ent.IsDir() {
 			continue
 		}
-		dir := filepath.Join(root, "datasets", ent.Name(), "store")
-		if _, err := os.Stat(dir); err == nil {
-			dirs = append(dirs, dir)
+		ds := filepath.Join(root, "datasets", ent.Name())
+		datasets = append(datasets, ds)
+		if _, err := os.Stat(filepath.Join(ds, "store")); err == nil {
+			stores = append(stores, filepath.Join(ds, "store"))
 		}
 	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("%s: no dataset stores found under datasets/", root)
+	if len(stores) == 0 {
+		return nil, nil, fmt.Errorf("%s: no dataset stores found under datasets/", root)
 	}
-	return dirs, nil
+	return stores, datasets, nil
 }
 
 func printReport(r *store.ScrubReport) {

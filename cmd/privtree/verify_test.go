@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"privtree/internal/store"
@@ -35,12 +38,84 @@ func TestVerifyCleanStore(t *testing.T) {
 	}
 }
 
+// seedDataset lays out datasets/<name> of a data dir as privtreed does:
+// a dataset.json registering a few inline points, and a seeded store.
+func seedDataset(t *testing.T, root, name string) string {
+	t.Helper()
+	dir := filepath.Join(root, "datasets", name)
+	seedStore(t, filepath.Join(dir, "store"))
+	doc := `{"privtreed_dataset":1,"created_at":"2026-01-02T03:04:05Z","request":{"name":"` + name +
+		`","epsilon":1,"points":[[0.125,0.25],[0.5,0.75],[0.875,0.0625],[0.3,0.6]]}}`
+	path := filepath.Join(dir, "dataset.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// verifyOutput runs verify with stdout captured.
+func verifyOutput(t *testing.T, args []string) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	verr := runVerify(args)
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), verr
+}
+
 func TestVerifyDataDirLayout(t *testing.T) {
 	root := t.TempDir()
-	seedStore(t, filepath.Join(root, "datasets", "a", "store"))
-	seedStore(t, filepath.Join(root, "datasets", "b", "store"))
+	seedDataset(t, root, "a")
+	seedDataset(t, root, "b")
 	if err := runVerify([]string{root}); err != nil {
 		t.Fatalf("verify of a data dir: %v", err)
+	}
+}
+
+// TestVerifyDatasetFile checks that verify reads every dataset.json of a
+// data dir as recovery does: a flipped byte, a truncated file, a missing
+// file and a document naming another dataset each fail the run, and the
+// report names the file.
+func TestVerifyDatasetFile(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"bitflip":   func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
+		"truncated": func(b []byte) []byte { return b[:len(b)-7] },
+		"renamed":   func(b []byte) []byte { return bytes.Replace(b, []byte(`"name":"a"`), []byte(`"name":"b"`), 1) },
+		"missing":   func([]byte) []byte { return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			path := seedDataset(t, root, "a")
+			seedDataset(t, root, "c")
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blob = damage(blob); blob == nil {
+				err = os.Remove(path)
+			} else {
+				err = os.WriteFile(path, blob, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := verifyOutput(t, []string{root})
+			if err == nil {
+				t.Fatalf("verify accepted a damaged dataset.json:\n%s", out)
+			}
+			if !strings.Contains(out, "[error] "+path) {
+				t.Fatalf("verify output does not name %s:\n%s", path, out)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,8 @@
 //	clients ────────────────► primary ──┐
 //	   │                                │  log shipping (pull):
 //	   │  reads (queries, audit,        │   GET /v1/repl/datasets
-//	   │  artifact fetch, /metrics)     │   GET /v1/repl/datasets/{name}/wal?from=N
+//	   │  artifact fetch, /metrics)     │   GET /v1/repl/datasets/{name}/registration
+//	   │                                │   GET /v1/repl/datasets/{name}/wal?from=N
 //	   └───────► replicas ◄─────────────┘   GET /v1/repl/datasets/{name}/artifacts/{sha}
 //
 // The primary is the dataset's single budget-writer: only it appends
@@ -96,9 +97,10 @@ const (
 )
 
 // DatasetDoc describes one replicated dataset as advertised by the
-// primary. Registration carries the primary's persisted dataset.json
-// verbatim, so a replica rebuilds the dataset from exactly the bytes the
-// primary registered it with.
+// primary. The listing stays small whatever the dataset's size: it names
+// the primary's persisted dataset.json by size and SHA-256 only, and a
+// replica fetches that document once (Client.Registration), to rebuild
+// the dataset from exactly the bytes the primary registered it with.
 type DatasetDoc struct {
 	Name        string    `json:"name"`
 	CreatedAt   time.Time `json:"created_at"`
@@ -107,8 +109,9 @@ type DatasetDoc struct {
 	// LastEpoch is the newest stream epoch sealed on the advertising node
 	// (0 for non-streaming datasets); replicas compare it against their
 	// local seal position to report epochs-behind.
-	LastEpoch    uint64          `json:"last_epoch,omitempty"`
-	Registration json.RawMessage `json:"registration"`
+	LastEpoch          uint64 `json:"last_epoch,omitempty"`
+	RegistrationBytes  int64  `json:"registration_bytes"`
+	RegistrationSHA256 string `json:"registration_sha256"`
 }
 
 // RemoteError is a structured (JSON error envelope) rejection from the
@@ -201,6 +204,26 @@ func (c *Client) Datasets(ctx context.Context) ([]DatasetDoc, error) {
 	return out.Datasets, nil
 }
 
+// Registration fetches the registration document doc advertises. It reads
+// at most the advertised size and refuses bytes that are not exactly that
+// size or do not hash to the advertised SHA-256.
+func (c *Client) Registration(ctx context.Context, doc DatasetDoc) ([]byte, error) {
+	resp, err := c.get(ctx, "/v1/repl/datasets/"+url.PathEscape(doc.Name)+"/registration", nil)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(io.LimitReader(resp.Body, doc.RegistrationBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("repl: reading registration of %q: %w", doc.Name, err)
+	}
+	if int64(len(blob)) != doc.RegistrationBytes || !store.VerifyAddr(doc.RegistrationSHA256, blob) {
+		return nil, fmt.Errorf("repl: registration of %q: received %d bytes that do not match the advertised %d bytes and SHA-256",
+			doc.Name, len(blob), doc.RegistrationBytes)
+	}
+	return blob, nil
+}
+
 // WALFrames pulls CRC-framed WAL records for dataset with sequence
 // numbers after from, presenting minEpoch as the lowest acceptable
 // writer epoch. It returns the raw frames, the peer's writer epoch, and
@@ -288,11 +311,14 @@ type Replica interface {
 	ApplyFrames(frames []byte) error
 }
 
-// Target is the applying side's dataset factory: Ensure returns the
-// local replica for doc, creating and registering the dataset (from
-// doc.Registration) the first time it appears in the primary's listing.
+// Target is the applying side's dataset registry.
 type Target interface {
-	Ensure(doc DatasetDoc) (Replica, error)
+	// Lookup returns the local replica of a dataset already created.
+	Lookup(name string) (Replica, bool, error)
+	// Ensure creates and registers the dataset doc advertises from its
+	// registration document, hash-verified against doc, or returns the
+	// replica that already exists.
+	Ensure(doc DatasetDoc, registration []byte) (Replica, error)
 }
 
 // Options configures a Syncer.
@@ -467,8 +493,22 @@ func (s *Syncer) syncOnce(ctx context.Context) error {
 	return firstErr
 }
 
+// replica returns doc's local replica. The registration document is
+// fetched only the first time a dataset is listed; a transfer that does
+// not match the listing is refused, and the next pass fetches it again.
+func (s *Syncer) replica(ctx context.Context, doc DatasetDoc) (Replica, error) {
+	if rep, ok, err := s.target.Lookup(doc.Name); ok || err != nil {
+		return rep, err
+	}
+	blob, err := s.client.Registration(ctx, doc)
+	if err != nil {
+		return nil, err
+	}
+	return s.target.Ensure(doc, blob)
+}
+
 func (s *Syncer) syncDataset(ctx context.Context, doc DatasetDoc) (caught bool, err error) {
-	rep, err := s.target.Ensure(doc)
+	rep, err := s.replica(ctx, doc)
 	if err != nil {
 		return false, err
 	}

@@ -109,13 +109,13 @@ func parseQueryBody(s string, sc *queryScratch, maxRows int) (queryBatch, error)
 		}
 		switch key {
 		case "queries":
-			present, err := p.floatRows(sc, maxRows)
+			present, err := p.floatRows(&sc.flat, &sc.offs, maxRows, nil)
 			if err != nil {
 				return out, err
 			}
 			out.hasQueries = present
 		case "strings":
-			present, err := p.intRows(sc, maxRows)
+			present, err := p.intRows(&sc.syms, &sc.soffs, maxRows, nil)
 			if err != nil {
 				return out, err
 			}
@@ -198,49 +198,71 @@ func (p *parser) null() bool {
 	return false
 }
 
-// floatRows parses [[numbers...],...] into sc.flat/sc.offs.
-func (p *parser) floatRows(sc *queryScratch, maxRows int) (bool, error) {
+// rowNulls records where a registration's row array held null: rows by
+// their index, numbers by their index in the slab.
+type rowNulls struct{ rows, elems []int32 }
+
+// floatRows parses [[numbers...],...] into *flat, the numbers of every
+// row, and *offs, the row boundaries (len rows+1). With nulls nil, a null
+// row or number is a syntax error, as the query and ingest planes want.
+// With nulls non-nil the registration reader's encoding/json rules apply
+// instead: a null row is recorded (with an empty span in *offs), a null
+// number is recorded and reads as 0, and intRows reads symbols as
+// encoding/json reads an int.
+func (p *parser) floatRows(flat *[]float64, offs *[]int32, maxRows int, nulls *rowNulls) (bool, error) {
 	p.ws()
 	if p.null() {
 		return false, nil
 	}
 	if !p.eat('[') {
-		return false, p.fail("expected an array of query rows")
+		return false, p.fail("expected an array of rows")
 	}
-	sc.flat = sc.flat[:0]
-	sc.offs = append(sc.offs[:0], 0)
+	*flat = (*flat)[:0]
+	*offs = append((*offs)[:0], 0)
 	p.ws()
 	if p.eat(']') {
 		return true, nil
 	}
 	for {
-		if len(sc.offs) > maxRows {
+		if len(*offs) > maxRows {
 			return false, errBatchTooLarge
 		}
 		p.ws()
-		if !p.eat('[') {
-			return false, p.fail("expected a query row")
-		}
-		p.ws()
-		if !p.eat(']') {
-			for {
-				p.ws()
-				v, err := p.number()
-				if err != nil {
-					return false, err
+		switch {
+		case nulls != nil && p.null():
+			nulls.rows = append(nulls.rows, int32(len(*offs)-1))
+		case !p.eat('['):
+			return false, p.fail("expected a row")
+		default:
+			p.ws()
+			if !p.eat(']') {
+				for {
+					p.ws()
+					var v float64
+					if nulls != nil && p.null() {
+						nulls.elems = append(nulls.elems, int32(len(*flat)))
+					} else {
+						var err error
+						if v, err = p.number(); err != nil {
+							return false, err
+						}
+					}
+					*flat = append(*flat, v)
+					p.ws()
+					if p.eat(',') {
+						continue
+					}
+					if p.eat(']') {
+						break
+					}
+					return false, p.fail("expected ',' or ']' in row")
 				}
-				sc.flat = append(sc.flat, v)
-				p.ws()
-				if p.eat(',') {
-					continue
-				}
-				if p.eat(']') {
-					break
-				}
-				return false, p.fail("expected ',' or ']' in query row")
+			}
+			if len(*flat) > math.MaxInt32 {
+				return false, p.fail("too many numbers")
 			}
 		}
-		sc.offs = append(sc.offs, int32(len(sc.flat)))
+		*offs = append(*offs, int32(len(*flat)))
 		p.ws()
 		if p.eat(',') {
 			continue
@@ -248,12 +270,13 @@ func (p *parser) floatRows(sc *queryScratch, maxRows int) (bool, error) {
 		if p.eat(']') {
 			return true, nil
 		}
-		return false, p.fail("expected ',' or ']' after query row")
+		return false, p.fail("expected ',' or ']' after row")
 	}
 }
 
-// intRows parses [[ints...],...] into sc.syms/sc.soffs.
-func (p *parser) intRows(sc *queryScratch, maxRows int) (bool, error) {
+// intRows is floatRows for rows of integers (symbol strings): on the
+// query and ingest planes each is at most MaxInt32 in magnitude.
+func (p *parser) intRows(syms *[]int, offs *[]int32, maxRows int, nulls *rowNulls) (bool, error) {
 	p.ws()
 	if p.null() {
 		return false, nil
@@ -261,40 +284,56 @@ func (p *parser) intRows(sc *queryScratch, maxRows int) (bool, error) {
 	if !p.eat('[') {
 		return false, p.fail("expected an array of symbol rows")
 	}
-	sc.syms = sc.syms[:0]
-	sc.soffs = append(sc.soffs[:0], 0)
+	*syms = (*syms)[:0]
+	*offs = append((*offs)[:0], 0)
 	p.ws()
 	if p.eat(']') {
 		return true, nil
 	}
 	for {
-		if len(sc.soffs) > maxRows {
+		if len(*offs) > maxRows {
 			return false, errBatchTooLarge
 		}
 		p.ws()
-		if !p.eat('[') {
+		switch {
+		case nulls != nil && p.null():
+			nulls.rows = append(nulls.rows, int32(len(*offs)-1))
+		case !p.eat('['):
 			return false, p.fail("expected a symbol row")
-		}
-		p.ws()
-		if !p.eat(']') {
-			for {
-				p.ws()
-				v, err := p.integer()
-				if err != nil {
-					return false, err
+		default:
+			p.ws()
+			if !p.eat(']') {
+				for {
+					p.ws()
+					var v int
+					var err error
+					switch {
+					case nulls == nil:
+						v, err = p.integer()
+					case p.null():
+						nulls.elems = append(nulls.elems, int32(len(*syms)))
+					default:
+						v, err = p.jsonInt()
+					}
+					if err != nil {
+						return false, err
+					}
+					*syms = append(*syms, v)
+					p.ws()
+					if p.eat(',') {
+						continue
+					}
+					if p.eat(']') {
+						break
+					}
+					return false, p.fail("expected ',' or ']' in symbol row")
 				}
-				sc.syms = append(sc.syms, v)
-				p.ws()
-				if p.eat(',') {
-					continue
-				}
-				if p.eat(']') {
-					break
-				}
-				return false, p.fail("expected ',' or ']' in symbol row")
+			}
+			if len(*syms) > math.MaxInt32 {
+				return false, p.fail("too many symbols")
 			}
 		}
-		sc.soffs = append(sc.soffs, int32(len(sc.syms)))
+		*offs = append(*offs, int32(len(*syms)))
 		p.ws()
 		if p.eat(',') {
 			continue
@@ -306,10 +345,9 @@ func (p *parser) intRows(sc *queryScratch, maxRows int) (bool, error) {
 	}
 }
 
-// number validates the JSON number grammar and hands the exact literal to
-// strconv.ParseFloat, so values are bit-identical to encoding/json's (which
-// uses the same parser). The literal is a substring — no allocation.
-func (p *parser) number() (float64, error) {
+// literal validates the JSON number grammar and returns the literal, a
+// substring of the input (no allocation).
+func (p *parser) literal() (string, error) {
 	start := p.i
 	s := p.s
 	if p.i < len(s) && s[p.i] == '-' {
@@ -323,12 +361,12 @@ func (p *parser) number() (float64, error) {
 			p.i++
 		}
 	default:
-		return 0, p.fail("expected a number")
+		return "", p.fail("expected a number")
 	}
 	if p.i < len(s) && s[p.i] == '.' {
 		p.i++
 		if p.i >= len(s) || s[p.i] < '0' || s[p.i] > '9' {
-			return 0, p.fail("malformed number fraction")
+			return "", p.fail("malformed number fraction")
 		}
 		for p.i < len(s) && s[p.i] >= '0' && s[p.i] <= '9' {
 			p.i++
@@ -340,15 +378,26 @@ func (p *parser) number() (float64, error) {
 			p.i++
 		}
 		if p.i >= len(s) || s[p.i] < '0' || s[p.i] > '9' {
-			return 0, p.fail("malformed number exponent")
+			return "", p.fail("malformed number exponent")
 		}
 		for p.i < len(s) && s[p.i] >= '0' && s[p.i] <= '9' {
 			p.i++
 		}
 	}
-	v, err := strconv.ParseFloat(s[start:p.i], 64)
+	return s[start:p.i], nil
+}
+
+// number hands the exact literal to strconv.ParseFloat, so values are
+// bit-identical to encoding/json's (which uses the same parser) and the
+// same literals are out of range.
+func (p *parser) number() (float64, error) {
+	lit, err := p.literal()
 	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s[start:p.i])
+		return 0, err
+	}
+	v, err := strconv.ParseFloat(lit, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad number %q", lit)
 	}
 	return v, nil
 }
@@ -384,6 +433,21 @@ func (p *parser) integer() (int, error) {
 		v = -v
 	}
 	return v, nil
+}
+
+// jsonInt reads a JSON number into an int as encoding/json does: through
+// strconv.ParseInt, so a fraction, an exponent or an out-of-range literal
+// is an error.
+func (p *parser) jsonInt() (int, error) {
+	lit, err := p.literal()
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.ParseInt(lit, 10, 0)
+	if err != nil {
+		return 0, fmt.Errorf("bad integer %q", lit)
+	}
+	return int(v), nil
 }
 
 // buildRects validates the decoded float rows against a d-dimensional

@@ -65,13 +65,13 @@ func parseIngestBody(s string, sc *queryScratch, maxRows int) (ingestBatch, erro
 			}
 			out.batchSeq = v
 		case "points":
-			present, err := p.floatRows(sc, maxRows)
+			present, err := p.floatRows(&sc.flat, &sc.offs, maxRows, nil)
 			if err != nil {
 				return out, err
 			}
 			out.hasPoints = present
 		case "strings":
-			present, err := p.intRows(sc, maxRows)
+			present, err := p.intRows(&sc.syms, &sc.soffs, maxRows, nil)
 			if err != nil {
 				return out, err
 			}

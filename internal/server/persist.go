@@ -10,6 +10,15 @@
 // directory is owned by internal/store via the session: it recovers
 // spent ε, the audit trail, and every committed release envelope.
 //
+// dataset.json is written by json.Marshal and read back by the one-pass
+// registration reader in regcodec.go (the same reader POST /v1/datasets
+// bodies go through), on restart, in a replica's Ensure and in
+// `privtree verify`. Replication ships the file verbatim: the listing
+// (GET /v1/repl/datasets) advertises only its size and SHA-256, hashed
+// once per dataset and cached, and a replica fetches the bytes from
+// GET /v1/repl/datasets/{name}/registration the first time it sees the
+// dataset.
+//
 // Ordering: dataset.json is written (tmp → fsync → rename → dir fsync)
 // and the store attached BEFORE the dataset becomes visible in the
 // registry, so no client can spend ε against a dataset whose ledger
@@ -94,6 +103,39 @@ func writeDatasetBlob(dsDir string, blob []byte) error {
 	return d.Sync()
 }
 
+// parseDatasetFile decodes the dataset.json document of the dataset
+// called name and checks its version and that it names that dataset.
+func parseDatasetFile(blob []byte, name string) (persistedDataset, error) {
+	pd, err := decodeDatasetFile(blob)
+	if err != nil {
+		return pd, fmt.Errorf("corrupt dataset.json: %w", err)
+	}
+	if pd.Version != datasetFileVersion {
+		return pd, fmt.Errorf("unsupported dataset file version %d", pd.Version)
+	}
+	if pd.Request.Name != name {
+		return pd, fmt.Errorf("dataset.json names %q", pd.Request.Name)
+	}
+	return pd, nil
+}
+
+// readDatasetFile reads and parses dsDir/dataset.json; the dataset's name
+// is the directory's.
+func readDatasetFile(dsDir string) (persistedDataset, error) {
+	blob, err := os.ReadFile(filepath.Join(dsDir, "dataset.json"))
+	if err != nil {
+		return persistedDataset{}, err
+	}
+	return parseDatasetFile(blob, filepath.Base(dsDir))
+}
+
+// CheckDatasetFile reads dsDir/dataset.json exactly as recovery does, so
+// an offline verify fails on every document a restart would refuse.
+func CheckDatasetFile(dsDir string) error {
+	_, err := readDatasetFile(dsDir)
+	return err
+}
+
 // loadDataDir recovers every persisted dataset at startup: replay the
 // registration, attach the store (which restores the ledger and the
 // committed releases), and insert. Recovery is strict — a dataset that
@@ -116,19 +158,9 @@ func (s *Server) loadDataDir() error {
 			continue
 		}
 		name := ent.Name()
-		blob, err := os.ReadFile(filepath.Join(root, name, "dataset.json"))
+		pd, err := readDatasetFile(filepath.Join(root, name))
 		if err != nil {
 			return fmt.Errorf("server: recovering dataset %q: %w", name, err)
-		}
-		var pd persistedDataset
-		if err := json.Unmarshal(blob, &pd); err != nil {
-			return fmt.Errorf("server: recovering dataset %q: corrupt dataset.json: %w", name, err)
-		}
-		if pd.Version != datasetFileVersion {
-			return fmt.Errorf("server: recovering dataset %q: unsupported dataset file version %d", name, pd.Version)
-		}
-		if pd.Request.Name != name {
-			return fmt.Errorf("server: recovering dataset %q: dataset.json names %q", name, pd.Request.Name)
 		}
 		d, err := s.buildDataset(&pd.Request)
 		if err != nil {

@@ -168,7 +168,7 @@ func TestServerRestartSurvivesBudgetAttack(t *testing.T) {
 	// attach the store the way the handler would.
 	t.Cleanup(func() { srv1.Close() })
 	if err := writeDatasetFile(srv1.datasetDir("victim"), &registerRequest{
-		Name: "victim", Epsilon: 0.5, Points: ptsAsRows(testPoints(1000)),
+		Name: "victim", Epsilon: 0.5, Points: testPoints(1000),
 	}, d.CreatedAt); err != nil {
 		t.Fatal(err)
 	}

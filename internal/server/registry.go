@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"privtree"
@@ -62,6 +63,18 @@ type Dataset struct {
 	releases map[string]*Release
 	byKey    map[string]string
 	nextID   int
+
+	// applying is 1 + the store's last WAL sequence while a replicated
+	// batch is being applied, 0 otherwise. WALSeq reports no further than
+	// it, so a replica's sequence becomes visible only once the releases
+	// it commits are registered and served.
+	applying atomic.Uint64
+
+	// regMu guards the size and SHA-256 of the dataset's dataset.json,
+	// which the replication listing advertises (see registrationSum).
+	regMu     sync.Mutex
+	regBytes  int64
+	regSHA256 string
 }
 
 // IsStream reports whether the dataset is a streaming dataset (registered
@@ -171,7 +184,13 @@ func (d *Dataset) WALSeq() uint64 {
 	if d.store == nil {
 		return 0
 	}
-	return d.store.LastSeq()
+	// Store first, then the floor: a sequence read after a replicated
+	// append started is capped unless its releases are registered.
+	seq := d.store.LastSeq()
+	if floor := d.applying.Load(); floor != 0 && floor-1 < seq {
+		return floor - 1
+	}
+	return seq
 }
 
 // Audit returns the dataset's ε audit plane: every ledger debit, refund,

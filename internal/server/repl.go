@@ -3,6 +3,7 @@
 // protocol and the single-budget-writer argument.
 //
 //	GET  /v1/repl/datasets                           replicated dataset listing
+//	GET  /v1/repl/datasets/{name}/registration       the dataset's dataset.json, verbatim
 //	GET  /v1/repl/datasets/{name}/wal?from=N         CRC-framed WAL records after N
 //	GET  /v1/repl/datasets/{name}/artifacts/{sha}    committed envelope by content address
 //	POST /v1/admin/promote                           replica → primary (bumps writer epoch)
@@ -20,8 +21,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -35,17 +38,19 @@ import (
 // replDatasetDoc mirrors repl.DatasetDoc (kept separate so the wire shape
 // is owned by the handler that serves it).
 type replDatasetDoc struct {
-	Name         string          `json:"name"`
-	CreatedAt    time.Time       `json:"created_at"`
-	WriterEpoch  uint64          `json:"writer_epoch"`
-	LastSeq      uint64          `json:"last_seq"`
-	LastEpoch    uint64          `json:"last_epoch,omitempty"`
-	Registration json.RawMessage `json:"registration"`
+	Name               string    `json:"name"`
+	CreatedAt          time.Time `json:"created_at"`
+	WriterEpoch        uint64    `json:"writer_epoch"`
+	LastSeq            uint64    `json:"last_seq"`
+	LastEpoch          uint64    `json:"last_epoch,omitempty"`
+	RegistrationBytes  int64     `json:"registration_bytes"`
+	RegistrationSHA256 string    `json:"registration_sha256"`
 }
 
 // handleReplDatasets serves the replicated-dataset listing: every
-// store-backed dataset with its registration document verbatim, its
-// writer epoch, and its last WAL sequence number.
+// store-backed dataset with its writer epoch, its last WAL sequence
+// number, and the size and SHA-256 of its registration document (the
+// document itself is fetched once, from .../registration).
 func (s *Server) handleReplDatasets(w http.ResponseWriter, r *http.Request) {
 	if s.opts.DataDir == "" {
 		writeError(w, http.StatusBadRequest, &APIError{Code: CodeBadRequest,
@@ -58,21 +63,66 @@ func (s *Server) handleReplDatasets(w http.ResponseWriter, r *http.Request) {
 		if d.store == nil {
 			continue // in-memory dataset: nothing durable to ship
 		}
-		blob, err := os.ReadFile(filepath.Join(s.datasetDir(d.Name), "dataset.json"))
+		size, sum, err := s.registrationSum(d)
 		if err != nil {
-			writeErrorFrom(w, fmt.Errorf("%w: reading registration for %q: %v", errInternal, d.Name, err))
+			writeErrorFrom(w, fmt.Errorf("%w: hashing registration for %q: %v", errInternal, d.Name, err))
 			return
 		}
 		out = append(out, replDatasetDoc{
-			Name:         d.Name,
-			CreatedAt:    d.CreatedAt,
-			WriterEpoch:  d.store.WriterEpoch(),
-			LastSeq:      d.store.LastSeq(),
-			LastEpoch:    d.store.LastSealedEpoch(),
-			Registration: blob,
+			Name:               d.Name,
+			CreatedAt:          d.CreatedAt,
+			WriterEpoch:        d.store.WriterEpoch(),
+			LastSeq:            d.store.LastSeq(),
+			LastEpoch:          d.store.LastSealedEpoch(),
+			RegistrationBytes:  size,
+			RegistrationSHA256: sum,
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"datasets": out})
+}
+
+// registrationSum returns the size and hex SHA-256 of d's dataset.json.
+// The file never changes after registration, so it is hashed on the first
+// listing and cached on d; a restart does not pay for it.
+func (s *Server) registrationSum(d *Dataset) (int64, string, error) {
+	d.regMu.Lock()
+	defer d.regMu.Unlock()
+	if d.regSHA256 == "" {
+		f, err := os.Open(filepath.Join(s.datasetDir(d.Name), "dataset.json"))
+		if err != nil {
+			return 0, "", err
+		}
+		defer f.Close()
+		h := sha256.New()
+		n, err := io.Copy(h, f)
+		if err != nil {
+			return 0, "", err
+		}
+		d.regBytes, d.regSHA256 = n, hex.EncodeToString(h.Sum(nil))
+	}
+	return d.regBytes, d.regSHA256, nil
+}
+
+// handleReplRegistration serves a store-backed dataset's dataset.json
+// verbatim: the bytes a replica creates the dataset from.
+func (s *Server) handleReplRegistration(w http.ResponseWriter, r *http.Request) {
+	d, ok := s.lookup(w, r)
+	if !ok {
+		return
+	}
+	if d.store == nil {
+		writeError(w, http.StatusNotFound, &APIError{Code: CodeNotFound,
+			Message: fmt.Sprintf("dataset %q has no store; nothing to ship", d.Name)})
+		return
+	}
+	f, err := os.Open(filepath.Join(s.datasetDir(d.Name), "dataset.json"))
+	if err != nil {
+		writeErrorFrom(w, fmt.Errorf("%w: reading registration for %q: %v", errInternal, d.Name, err))
+		return
+	}
+	defer f.Close()
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = io.Copy(w, f)
 }
 
 // handleReplWAL serves CRC-framed WAL records after ?from=N, capped at
@@ -343,7 +393,10 @@ func (r replicaDataset) PutArtifact(sha string, b []byte) error { return r.d.sto
 // which validates, persists, and replays them into the ledger — then
 // registers any newly committed releases in the serving maps, exactly as
 // restart recovery does, so the replica serves them bit-identically.
+// WALSeq keeps reporting the pre-batch sequence until that is done.
 func (r replicaDataset) ApplyFrames(frames []byte) error {
+	r.d.applying.Store(r.d.store.LastSeq() + 1)
+	defer r.d.applying.Store(0)
 	restored, err := r.d.session.ApplyReplicated(frames)
 	if err != nil {
 		return err
@@ -364,40 +417,45 @@ func (r replicaDataset) ApplyFrames(frames []byte) error {
 	return nil
 }
 
-// replicaTarget implements repl.Target over the server's registry:
-// Ensure materializes a dataset the first time the primary's listing
-// advertises it, persisting the primary's registration bytes verbatim.
+// replicaTarget implements repl.Target over the server's registry.
 type replicaTarget struct{ s *Server }
 
-func (t replicaTarget) Ensure(doc repl.DatasetDoc) (repl.Replica, error) {
+// Lookup returns the local replica of a dataset already materialized.
+func (t replicaTarget) Lookup(name string) (repl.Replica, bool, error) {
+	d, ok := t.s.registry.Get(name)
+	if !ok {
+		return nil, false, nil
+	}
+	if d.store == nil {
+		return nil, false, fmt.Errorf("dataset %q exists without a store; cannot replicate into it", name)
+	}
+	return replicaDataset{d}, true, nil
+}
+
+// Ensure materializes the dataset doc advertises from the primary's
+// registration document (already checked against the listing's hash),
+// persisting those bytes verbatim.
+func (t replicaTarget) Ensure(doc repl.DatasetDoc, registration []byte) (repl.Replica, error) {
 	s := t.s
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	if d, ok := s.registry.Get(doc.Name); ok {
-		if d.store == nil {
-			return nil, fmt.Errorf("dataset %q exists without a store; cannot replicate into it", doc.Name)
-		}
-		return replicaDataset{d}, nil
+	if rep, ok, err := t.Lookup(doc.Name); ok || err != nil {
+		return rep, err
 	}
-	var pd persistedDataset
-	if err := json.Unmarshal(doc.Registration, &pd); err != nil {
-		return nil, fmt.Errorf("dataset %q: corrupt registration document: %w", doc.Name, err)
-	}
-	if pd.Version != datasetFileVersion {
-		return nil, fmt.Errorf("dataset %q: unsupported dataset file version %d", doc.Name, pd.Version)
-	}
-	if pd.Request.Name != doc.Name {
-		return nil, fmt.Errorf("dataset %q: registration document names %q", doc.Name, pd.Request.Name)
+	pd, err := parseDatasetFile(registration, doc.Name)
+	if err != nil {
+		return nil, fmt.Errorf("dataset %q: %w", doc.Name, err)
 	}
 	d, err := s.buildDataset(&pd.Request)
 	if err != nil {
 		return nil, fmt.Errorf("dataset %q: rebuilding from registration: %w", doc.Name, err)
 	}
 	d.CreatedAt = pd.CreatedAt
+	d.regBytes, d.regSHA256 = int64(len(registration)), doc.RegistrationSHA256
 	dsDir := s.datasetDir(d.Name)
 	// The primary's bytes, not a re-marshaling: a restart of this replica
 	// must recover exactly the document the primary registered.
-	if err := writeDatasetBlob(dsDir, doc.Registration); err != nil {
+	if err := writeDatasetBlob(dsDir, registration); err != nil {
 		return nil, fmt.Errorf("dataset %q: persisting registration: %w", doc.Name, err)
 	}
 	if err := d.AttachStore(filepath.Join(dsDir, "store")); err != nil {

@@ -3,10 +3,17 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"privtree/internal/store"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -221,5 +228,131 @@ func TestReplicaNotReadyWithDeadPrimary(t *testing.T) {
 func TestReplicaRequiresDataDir(t *testing.T) {
 	if _, err := New(Options{ReplicaOf: "http://127.0.0.1:1"}); err == nil {
 		t.Fatal("New accepted -replica-of without a data dir")
+	}
+}
+
+// TestReplListingOmitsRegistration checks that the replication listing
+// names each dataset's registration by size and SHA-256 instead of
+// carrying it: registering a dataset a thousand times larger adds only
+// one fixed-size entry to the listing, and the registration endpoint
+// serves the dataset.json the listing describes, byte for byte.
+func TestReplListingOmitsRegistration(t *testing.T) {
+	dir := t.TempDir()
+	primary := mustNew(t, Options{DataDir: dir, Workers: 1})
+	ts := httptest.NewServer(primary)
+	defer ts.Close()
+	client := ts.Client()
+	listing := func() ([]byte, []replDatasetDoc) {
+		resp, err := client.Get(ts.URL + "/v1/repl/datasets")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Datasets []replDatasetDoc `json:"datasets"`
+		}
+		if err := json.Unmarshal(blob, &out); err != nil {
+			t.Fatal(err)
+		}
+		return blob, out.Datasets
+	}
+	register := func(name string, n int) {
+		if code := doJSON(t, client, "POST", ts.URL+"/v1/datasets", map[string]any{
+			"name": name, "epsilon": 1.0, "points": testPoints(n),
+		}, nil); code != http.StatusCreated {
+			t.Fatalf("register %s: %d", name, code)
+		}
+	}
+	register("small", 20)
+	one, _ := listing()
+	register("large", 20_000)
+	two, docs := listing()
+	if growth := len(two) - len(one); growth > 2*len(one) {
+		t.Fatalf("listing grew by %d bytes for one more dataset (was %d bytes)", growth, len(one))
+	}
+	for _, doc := range docs {
+		file, err := os.ReadFile(filepath.Join(dir, "datasets", doc.Name, "dataset.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.RegistrationBytes != int64(len(file)) || !store.VerifyAddr(doc.RegistrationSHA256, file) {
+			t.Fatalf("%s: listing advertises %d bytes / %s for a %d-byte dataset.json",
+				doc.Name, doc.RegistrationBytes, doc.RegistrationSHA256, len(file))
+		}
+		if doc.Name == "large" && len(two) >= len(file) {
+			t.Fatalf("listing (%d bytes) is not smaller than the registration it names (%d bytes)", len(two), len(file))
+		}
+		resp, err := client.Get(ts.URL + "/v1/repl/datasets/" + doc.Name + "/registration")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, file) {
+			t.Fatalf("%s: registration endpoint does not serve dataset.json verbatim (%d, %v)", doc.Name, resp.StatusCode, err)
+		}
+	}
+}
+
+// TestReplicaRefusesCorruptRegistration puts a proxy between replica and
+// primary that flips one byte of the first registration it relays. The
+// replica must refuse those bytes (they do not hash to the listing's
+// SHA-256), fetch the document again on a later pass, persist the
+// primary's exact bytes, and then never fetch it again while it polls.
+func TestReplicaRefusesCorruptRegistration(t *testing.T) {
+	pdir := t.TempDir()
+	primary := mustNew(t, Options{DataDir: pdir, Workers: 1})
+	var fetches, listings atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/registration"):
+			rec := httptest.NewRecorder()
+			primary.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			if fetches.Add(1) == 1 && len(body) > 0 {
+				body[len(body)/2] ^= 0x01
+			}
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(body)
+			return
+		case r.URL.Path == "/v1/repl/datasets":
+			listings.Add(1)
+		}
+		primary.ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+	client := proxy.Client()
+	if code := doJSON(t, client, "POST", proxy.URL+"/v1/datasets", map[string]any{
+		"name": "demo", "epsilon": 1.0, "points": testPoints(500),
+	}, nil); code != http.StatusCreated {
+		t.Fatalf("register: %d", code)
+	}
+
+	rdir := t.TempDir()
+	replica := mustNew(t, Options{DataDir: rdir, Workers: 1, ReplicaOf: proxy.URL, ReplicaPoll: 5 * time.Millisecond})
+	defer replica.Close()
+	waitUntil(t, "the replica to create demo", func() bool { _, ok := replica.Registry().Get("demo"); return ok })
+	if n := fetches.Load(); n != 2 {
+		t.Fatalf("registration fetched %d times, want 2 (one refused, one applied)", n)
+	}
+	want, err := os.ReadFile(filepath.Join(pdir, "datasets", "demo", "dataset.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(rdir, "datasets", "demo", "dataset.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("replica persisted a registration that differs from the primary's")
+	}
+	seen := listings.Load()
+	waitUntil(t, "ten more sync passes", func() bool { return listings.Load() >= seen+10 })
+	if n := fetches.Load(); n != 2 {
+		t.Fatalf("registration fetched %d times after the dataset existed, want no more fetches", n)
 	}
 }

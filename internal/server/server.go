@@ -294,6 +294,7 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
 	s.mux.HandleFunc("GET /metricsz", s.route("metricsz", s.handleMetricsz))
 	s.mux.HandleFunc("GET /v1/repl/datasets", s.route("repl_datasets", s.handleReplDatasets))
+	s.mux.HandleFunc("GET /v1/repl/datasets/{name}/registration", s.route("repl_registration", s.handleReplRegistration))
 	s.mux.HandleFunc("GET /v1/repl/datasets/{name}/wal", s.route("repl_wal", s.handleReplWAL))
 	s.mux.HandleFunc("GET /v1/repl/datasets/{name}/artifacts/{sha}", s.route("repl_artifact", s.handleReplArtifact))
 	s.mux.HandleFunc("POST /v1/admin/promote", s.route("promote", s.handlePromote))
@@ -417,16 +418,22 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, &APIError{
-				Code: CodeTooLarge, Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
-			return false
-		}
-		writeError(w, http.StatusBadRequest, &APIError{Code: CodeBadRequest, Message: "invalid JSON: " + err.Error()})
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 too_large past the MaxBytesReader limit, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, &APIError{
+			Code: CodeTooLarge, Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+		return
+	}
+	writeError(w, http.StatusBadRequest, &APIError{Code: CodeBadRequest, Message: "invalid JSON: " + err.Error()})
 }
 
 // rectJSON is the wire form of an axis-aligned box.
@@ -451,13 +458,13 @@ type registerRequest struct {
 	Kind    string  `json:"kind,omitempty"`
 	Epsilon float64 `json:"epsilon"`
 
-	Domain    *rectJSON      `json:"domain,omitempty"`
-	CSV       string         `json:"csv,omitempty"`
-	Points    [][]float64    `json:"points,omitempty"`
-	Synthetic *syntheticSpec `json:"synthetic,omitempty"`
+	Domain    *rectJSON        `json:"domain,omitempty"`
+	CSV       string           `json:"csv,omitempty"`
+	Points    []privtree.Point `json:"points,omitempty"`
+	Synthetic *syntheticSpec   `json:"synthetic,omitempty"`
 
-	Alphabet  int     `json:"alphabet,omitempty"`
-	Sequences [][]int `json:"sequences,omitempty"`
+	Alphabet  int                 `json:"alphabet,omitempty"`
+	Sequences []privtree.Sequence `json:"sequences,omitempty"`
 
 	// Stream registers a streaming dataset: it starts EMPTY (no data
 	// source), requires an explicit domain (spatial) or alphabet
@@ -552,8 +559,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			Message: "node fenced by a higher writer epoch; register datasets on the current primary"})
 		return
 	}
+	body, err := io.ReadAll(r.Body)
 	var req registerRequest
-	if !decodeJSON(w, r, &req) {
+	if err == nil {
+		req, err = decodeRegisterRequest(body)
+	}
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	sources := 0
@@ -696,11 +708,7 @@ func (s *Server) buildDataset(req *registerRequest) (*Dataset, error) {
 		if req.Sequences == nil {
 			return nil, fmt.Errorf("server: sequence dataset needs a sequences array")
 		}
-		seqs := make([]privtree.Sequence, len(req.Sequences))
-		for i, row := range req.Sequences {
-			seqs[i] = privtree.Sequence(row)
-		}
-		return s.registry.NewSequenceDataset(req.Name, req.Alphabet, seqs, req.Epsilon)
+		return s.registry.NewSequenceDataset(req.Name, req.Alphabet, req.Sequences, req.Epsilon)
 	default:
 		var domain geom.Rect
 		if req.Domain != nil {
@@ -725,10 +733,7 @@ func (s *Server) buildDataset(req *registerRequest) (*Dataset, error) {
 			}
 			domain, pts = ds.Domain, ds.Points
 		default:
-			pts = make([]privtree.Point, len(req.Points))
-			for i, row := range req.Points {
-				pts[i] = privtree.Point(row)
-			}
+			pts = req.Points
 			if domain.Dims() == 0 {
 				if len(pts) == 0 {
 					return nil, fmt.Errorf("server: empty point set needs an explicit domain")
