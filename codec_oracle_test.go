@@ -10,7 +10,12 @@ import (
 	"privtree/internal/markov"
 	"privtree/internal/pst"
 	"privtree/internal/sequence"
+	"privtree/internal/wire"
 )
+
+// maxWireDepth is the nesting limit the reader shares with encoding/json;
+// the hostile-input table probes it from both sides.
+const maxWireDepth = wire.MaxDepth
 
 // This file keeps the reflection codec the artifact codec replaced, as
 // the oracle the differential tests hold the new one to: encoding/json

@@ -54,12 +54,13 @@
 // Decode is the single entry point, and it still loads the legacy
 // per-type v0 documents through compat shims. Spatial and sequence
 // envelopes go through a hand-written codec that works on the flat
-// arenas directly: the writer emits exactly the bytes encoding/json did
-// (same key order, same float formatting), and the reader accepts what
-// encoding/json accepts — any whitespace and key order, unknown and
-// repeated keys, null, nesting up to 10,000 levels — except that keys
-// match in their exact case only. Hybrid payloads still use
-// encoding/json.
+// arenas directly, on top of internal/wire, the JSON scanner and float
+// writer privtreed's request bodies share: the writer emits exactly the
+// bytes encoding/json did (same key order, same float formatting), and
+// the reader accepts what encoding/json accepts — any whitespace and key
+// order, unknown and repeated keys, null, nesting up to 10,000 levels —
+// except that keys match in their exact case only. Hybrid payloads still
+// use encoding/json.
 //
 // The SVT analysis of Section 5 lives in the same module for side-by-side
 // comparison; the experiment runners that regenerate every figure and

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"privtree/internal/wire"
 )
 
 // This file defines the versioned, self-describing wire envelope every
@@ -60,7 +62,7 @@ func (r *Release) encodeEnvelope() ([]byte, error) {
 	var err error
 	if r.epsilon != 0 {
 		b = append(b, `,"epsilon":`...)
-		if b, err = appendWireFloat(b, r.epsilon); err != nil {
+		if b, err = wire.AppendFloat(b, r.epsilon); err != nil {
 			return nil, err
 		}
 	}
@@ -168,48 +170,47 @@ type envelopeHeader struct {
 // payload's syntax but not decoding it.
 func readEnvelopeHeader(data []byte) (*envelopeHeader, error) {
 	h := &envelopeHeader{}
-	r := &wireReader{data: data}
-	err := r.fields(func(key []byte) error {
+	r := wire.NewReader(data)
+	err := r.Object(func(key []byte) (err error) {
 		switch string(key) {
 		case "privtree_release":
-			if null, err := r.null(); null || err != nil {
-				h.versioned = false
-				return err
+			v, null, err := r.Int()
+			h.versioned = !null
+			if !null && err == nil {
+				h.version = v
 			}
-			h.versioned = true
-			return r.intInto(&h.version)
+			return err
 		case "kind":
-			return r.stringInto((*string)(&h.kind))
+			return r.StringInto((*string)(&h.kind))
 		case "mechanism":
-			return r.stringInto(&h.mechanism)
+			return r.StringInto(&h.mechanism)
 		case "epsilon":
-			v, null, err := r.float()
+			v, null, err := r.Float()
 			if !null && err == nil {
 				h.epsilon = v
 			}
 			return err
 		case "params":
-			if null, err := r.null(); null || err != nil {
+			if null, err := r.Null(); null || err != nil {
 				h.params = Params{}
 				return err
 			}
-			start := r.pos
-			if err := r.skip(); err != nil {
+			params, err := r.Raw()
+			if err != nil {
 				return err
 			}
-			return json.Unmarshal(data[start:r.pos], &h.params)
+			return json.Unmarshal(params, &h.params)
 		case "payload":
-			r.peek() // past whitespace: the span starts at the value
-			start := r.pos
-			if err := r.skip(); err != nil {
-				return err
-			}
-			h.payload = data[start:r.pos]
-			return nil
+			h.payload, err = r.Raw()
+			return err
 		case "alphabet":
-			return r.optionalInt(&h.alphabet)
+			_, null, err := r.Int()
+			h.alphabet = !null
+			return err
 		case "fanout":
-			return r.optionalInt(&h.fanout)
+			_, null, err := r.Int()
+			h.fanout = !null
+			return err
 		case "numeric":
 			h.numeric = true
 		case "taxonomies":
@@ -217,12 +218,12 @@ func readEnvelopeHeader(data []byte) (*envelopeHeader, error) {
 		case "root":
 			h.root = true
 		}
-		return r.skip()
+		return r.Skip()
 	})
 	if err != nil {
 		return nil, err
 	}
-	return h, r.end()
+	return h, r.End()
 }
 
 // check applies the provenance screening Decode and InspectEnvelope

@@ -9,19 +9,26 @@ import (
 	"strconv"
 
 	"privtree/internal/geom"
+	"privtree/internal/wire"
 )
 
 // This file is the allocation-lean codec of the batched query plane. The
 // stock encoding/json path costs ~3 heap allocations per query (one slice
 // header per decoded row plus encoder internals), which dominated the
 // serving profile at 10k-query batches. Here the request body is read into
-// a pooled buffer, converted to a string ONCE (so number literals are
-// zero-copy substrings fed straight to strconv, keeping stdlib parsing
-// semantics bit-for-bit), decoded into pooled flat column buffers with
-// (offset) row headers — the same columnar discipline the sequence corpus
-// uses — and the response is rendered into a pooled byte buffer with the
-// exact float formatting rules of encoding/json. Steady-state cost: O(1)
-// allocations per BATCH instead of O(1) per query.
+// a pooled buffer and scanned in place by internal/wire's reader (number
+// tokens go straight to strconv, keeping stdlib parsing semantics
+// bit-for-bit), decoded into pooled flat column buffers with (offset) row
+// headers — the same columnar discipline the sequence corpus uses — and
+// the response is rendered into a pooled byte buffer by wire.AppendFloat,
+// encoding/json's float formatting. Steady-state cost: O(1) allocations
+// per BATCH instead of O(1) per query.
+//
+// The plane's rules live here and in ingest.go, at the call sites: the
+// body is one object (not null) with nothing after it, keys match
+// exactly after unescaping and an unknown key is an error, a null rows
+// array means absent, and a null row or number is an error. The
+// registration reader (regcodec.go) shares readRows under its own rules.
 
 // maxPooledScratchBytes caps how much buffer capacity a queryScratch may
 // carry back into the pool: a rare giant batch (bodies can reach
@@ -86,368 +93,100 @@ type queryBatch struct {
 // into sc's pooled buffers. Unknown fields are rejected (a misspelled field
 // silently ignored would surprise exactly like a misspelled release knob),
 // and more than maxRows rows in either array aborts with errBatchTooLarge
-// before buffering an unbounded batch.
-func parseQueryBody(s string, sc *queryScratch, maxRows int) (queryBatch, error) {
-	p := parser{s: s}
+// before buffering an unbounded batch. The handler passes its pooled body
+// buffer, which is read in place; a string body is copied once.
+func parseQueryBody[B ~string | ~[]byte](body B, sc *queryScratch, maxRows int) (queryBatch, error) {
 	var out queryBatch
-	p.ws()
-	if !p.eat('{') {
-		return out, p.fail("expected an object")
-	}
-	p.ws()
-	if p.eat('}') {
-		return out, nil
-	}
-	for {
-		key, err := p.key()
-		if err != nil {
-			return out, err
-		}
-		p.ws()
-		if !p.eat(':') {
-			return out, p.fail("expected ':' after field name")
-		}
-		switch key {
+	r := wire.NewReader([]byte(body))
+	err := strictObject(r, func(key []byte) (err error) {
+		switch string(key) {
 		case "queries":
-			present, err := p.floatRows(&sc.flat, &sc.offs, maxRows, nil)
-			if err != nil {
-				return out, err
-			}
-			out.hasQueries = present
+			out.hasQueries, err = readRows(r, &sc.flat, &sc.offs, maxRows, nil, r.Float)
 		case "strings":
-			present, err := p.intRows(&sc.syms, &sc.soffs, maxRows, nil)
-			if err != nil {
-				return out, err
-			}
-			out.hasStrings = present
+			out.hasStrings, err = readRows(r, &sc.syms, &sc.soffs, maxRows, nil, symbolReader(r))
 		default:
-			return out, fmt.Errorf("unknown field %q", key)
+			err = unknownField(key)
 		}
-		p.ws()
-		if p.eat(',') {
-			p.ws()
-			continue
+		return err
+	})
+	return out, err
+}
+
+// strictObject reads a query or ingest body: one object, not null, with
+// nothing after it.
+func strictObject(r *wire.Reader, field func(key []byte) error) error {
+	if r.Peek() != '{' {
+		return r.WrongType("an object")
+	}
+	if err := r.Object(field); err != nil {
+		return err
+	}
+	return r.End()
+}
+
+func unknownField(key []byte) error { return fmt.Errorf("unknown field %q", key) }
+
+// symbolReader reads the symbols of a query or ingest body's strings:
+// integers of at most MaxInt32 in magnitude.
+func symbolReader(r *wire.Reader) func() (int, bool, error) {
+	return func() (int, bool, error) {
+		v, null, err := r.Int()
+		if err == nil && (v > math.MaxInt32 || v < -math.MaxInt32) {
+			err = fmt.Errorf("symbol %d out of range", v)
 		}
-		if p.eat('}') {
-			return out, nil
-		}
-		return out, p.fail("expected ',' or '}' in object")
+		return v, null, err
 	}
-}
-
-// parser is a minimal JSON reader specialized to the query envelope. It
-// never allocates: tokens are substrings of the input.
-type parser struct {
-	s string
-	i int
-}
-
-func (p *parser) fail(msg string) error {
-	return fmt.Errorf("%s at offset %d", msg, p.i)
-}
-
-func (p *parser) ws() {
-	for p.i < len(p.s) {
-		switch p.s[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-func (p *parser) eat(c byte) bool {
-	if p.i < len(p.s) && p.s[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// key reads an object key. Escape sequences are tolerated for scanning (the
-// only accepted keys contain none, so an escaped key simply fails the
-// field-name match).
-func (p *parser) key() (string, error) {
-	p.ws()
-	if !p.eat('"') {
-		return "", p.fail("expected a field name")
-	}
-	start := p.i
-	for p.i < len(p.s) {
-		switch p.s[p.i] {
-		case '\\':
-			p.i += 2
-		case '"':
-			k := p.s[start:p.i]
-			p.i++
-			return k, nil
-		default:
-			p.i++
-		}
-	}
-	return "", p.fail("unterminated field name")
-}
-
-// null consumes the literal null if present.
-func (p *parser) null() bool {
-	if len(p.s)-p.i >= 4 && p.s[p.i:p.i+4] == "null" {
-		p.i += 4
-		return true
-	}
-	return false
 }
 
 // rowNulls records where a registration's row array held null: rows by
 // their index, numbers by their index in the slab.
 type rowNulls struct{ rows, elems []int32 }
 
-// floatRows parses [[numbers...],...] into *flat, the numbers of every
-// row, and *offs, the row boundaries (len rows+1). With nulls nil, a null
-// row or number is a syntax error, as the query and ingest planes want.
-// With nulls non-nil the registration reader's encoding/json rules apply
-// instead: a null row is recorded (with an empty span in *offs), a null
-// number is recorded and reads as 0, and intRows reads symbols as
-// encoding/json reads an int.
-func (p *parser) floatRows(flat *[]float64, offs *[]int32, maxRows int, nulls *rowNulls) (bool, error) {
-	p.ws()
-	if p.null() {
-		return false, nil
+// readRows reads an array of number rows into *slab, the numbers of every
+// row, and *offs, the row boundaries (len rows+1); num reads one number.
+// It reports false for a null array. With nulls nil, a null row or number
+// is an error, as the query and ingest planes want. With nulls non-nil
+// the registration reader's encoding/json rules apply instead: a null row
+// is recorded (with an empty span in *offs), and a null number is
+// recorded and reads as 0.
+func readRows[E float64 | int](r *wire.Reader, slab *[]E, offs *[]int32, maxRows int, nulls *rowNulls, num func() (E, bool, error)) (bool, error) {
+	if null, err := r.Null(); null || err != nil {
+		return false, err
 	}
-	if !p.eat('[') {
-		return false, p.fail("expected an array of rows")
-	}
-	*flat = (*flat)[:0]
+	*slab = (*slab)[:0]
 	*offs = append((*offs)[:0], 0)
-	p.ws()
-	if p.eat(']') {
-		return true, nil
-	}
-	for {
+	err := r.Array(func() error {
 		if len(*offs) > maxRows {
-			return false, errBatchTooLarge
+			return errBatchTooLarge
 		}
-		p.ws()
-		switch {
-		case nulls != nil && p.null():
-			nulls.rows = append(nulls.rows, int32(len(*offs)-1))
-		case !p.eat('['):
-			return false, p.fail("expected a row")
-		default:
-			p.ws()
-			if !p.eat(']') {
-				for {
-					p.ws()
-					var v float64
-					if nulls != nil && p.null() {
-						nulls.elems = append(nulls.elems, int32(len(*flat)))
-					} else {
-						var err error
-						if v, err = p.number(); err != nil {
-							return false, err
-						}
-					}
-					*flat = append(*flat, v)
-					p.ws()
-					if p.eat(',') {
-						continue
-					}
-					if p.eat(']') {
-						break
-					}
-					return false, p.fail("expected ',' or ']' in row")
-				}
+		if null, err := r.Null(); null || err != nil {
+			if null && nulls == nil {
+				return r.WrongType("a row")
 			}
-			if len(*flat) > math.MaxInt32 {
-				return false, p.fail("too many numbers")
+			if null {
+				nulls.rows = append(nulls.rows, int32(len(*offs)-1))
+				*offs = append(*offs, int32(len(*slab)))
 			}
+			return err
 		}
-		*offs = append(*offs, int32(len(*flat)))
-		p.ws()
-		if p.eat(',') {
-			continue
-		}
-		if p.eat(']') {
-			return true, nil
-		}
-		return false, p.fail("expected ',' or ']' after row")
-	}
-}
-
-// intRows is floatRows for rows of integers (symbol strings): on the
-// query and ingest planes each is at most MaxInt32 in magnitude.
-func (p *parser) intRows(syms *[]int, offs *[]int32, maxRows int, nulls *rowNulls) (bool, error) {
-	p.ws()
-	if p.null() {
-		return false, nil
-	}
-	if !p.eat('[') {
-		return false, p.fail("expected an array of symbol rows")
-	}
-	*syms = (*syms)[:0]
-	*offs = append((*offs)[:0], 0)
-	p.ws()
-	if p.eat(']') {
-		return true, nil
-	}
-	for {
-		if len(*offs) > maxRows {
-			return false, errBatchTooLarge
-		}
-		p.ws()
-		switch {
-		case nulls != nil && p.null():
-			nulls.rows = append(nulls.rows, int32(len(*offs)-1))
-		case !p.eat('['):
-			return false, p.fail("expected a symbol row")
-		default:
-			p.ws()
-			if !p.eat(']') {
-				for {
-					p.ws()
-					var v int
-					var err error
-					switch {
-					case nulls == nil:
-						v, err = p.integer()
-					case p.null():
-						nulls.elems = append(nulls.elems, int32(len(*syms)))
-					default:
-						v, err = p.jsonInt()
-					}
-					if err != nil {
-						return false, err
-					}
-					*syms = append(*syms, v)
-					p.ws()
-					if p.eat(',') {
-						continue
-					}
-					if p.eat(']') {
-						break
-					}
-					return false, p.fail("expected ',' or ']' in symbol row")
-				}
+		err := r.Array(func() error {
+			v, null, err := num()
+			if null && nulls == nil {
+				return r.WrongType("a number")
 			}
-			if len(*syms) > math.MaxInt32 {
-				return false, p.fail("too many symbols")
+			if null {
+				nulls.elems = append(nulls.elems, int32(len(*slab)))
 			}
+			*slab = append(*slab, v)
+			return err
+		})
+		if len(*slab) > math.MaxInt32 {
+			return errors.New("too many numbers")
 		}
-		*offs = append(*offs, int32(len(*syms)))
-		p.ws()
-		if p.eat(',') {
-			continue
-		}
-		if p.eat(']') {
-			return true, nil
-		}
-		return false, p.fail("expected ',' or ']' after symbol row")
-	}
-}
-
-// literal validates the JSON number grammar and returns the literal, a
-// substring of the input (no allocation).
-func (p *parser) literal() (string, error) {
-	start := p.i
-	s := p.s
-	if p.i < len(s) && s[p.i] == '-' {
-		p.i++
-	}
-	switch {
-	case p.i < len(s) && s[p.i] == '0':
-		p.i++
-	case p.i < len(s) && s[p.i] >= '1' && s[p.i] <= '9':
-		for p.i < len(s) && s[p.i] >= '0' && s[p.i] <= '9' {
-			p.i++
-		}
-	default:
-		return "", p.fail("expected a number")
-	}
-	if p.i < len(s) && s[p.i] == '.' {
-		p.i++
-		if p.i >= len(s) || s[p.i] < '0' || s[p.i] > '9' {
-			return "", p.fail("malformed number fraction")
-		}
-		for p.i < len(s) && s[p.i] >= '0' && s[p.i] <= '9' {
-			p.i++
-		}
-	}
-	if p.i < len(s) && (s[p.i] == 'e' || s[p.i] == 'E') {
-		p.i++
-		if p.i < len(s) && (s[p.i] == '+' || s[p.i] == '-') {
-			p.i++
-		}
-		if p.i >= len(s) || s[p.i] < '0' || s[p.i] > '9' {
-			return "", p.fail("malformed number exponent")
-		}
-		for p.i < len(s) && s[p.i] >= '0' && s[p.i] <= '9' {
-			p.i++
-		}
-	}
-	return s[start:p.i], nil
-}
-
-// number hands the exact literal to strconv.ParseFloat, so values are
-// bit-identical to encoding/json's (which uses the same parser) and the
-// same literals are out of range.
-func (p *parser) number() (float64, error) {
-	lit, err := p.literal()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseFloat(lit, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad number %q", lit)
-	}
-	return v, nil
-}
-
-// integer parses a JSON integer literal (symbols may not be fractional;
-// leading zeros are invalid JSON, exactly as in number()).
-func (p *parser) integer() (int, error) {
-	s := p.s
-	neg := false
-	if p.i < len(s) && s[p.i] == '-' {
-		neg = true
-		p.i++
-	}
-	start := p.i
-	v := 0
-	for p.i < len(s) && s[p.i] >= '0' && s[p.i] <= '9' {
-		v = v*10 + int(s[p.i]-'0')
-		if v > math.MaxInt32 {
-			return 0, p.fail("symbol out of range")
-		}
-		p.i++
-	}
-	if p.i == start {
-		return 0, p.fail("expected an integer symbol")
-	}
-	if p.i-start > 1 && s[start] == '0' {
-		return 0, p.fail("leading zero in symbol")
-	}
-	if p.i < len(s) && (s[p.i] == '.' || s[p.i] == 'e' || s[p.i] == 'E') {
-		return 0, p.fail("symbols must be integers")
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
-}
-
-// jsonInt reads a JSON number into an int as encoding/json does: through
-// strconv.ParseInt, so a fraction, an exponent or an out-of-range literal
-// is an error.
-func (p *parser) jsonInt() (int, error) {
-	lit, err := p.literal()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseInt(lit, 10, 0)
-	if err != nil {
-		return 0, fmt.Errorf("bad integer %q", lit)
-	}
-	return int(v), nil
+		*offs = append(*offs, int32(len(*slab)))
+		return err
+	})
+	return err == nil, err
 }
 
 // buildRects validates the decoded float rows against a d-dimensional
@@ -487,30 +226,9 @@ func checkSyms(sc *queryScratch, alphabet int) error {
 	return nil
 }
 
-// appendJSONFloat renders f exactly as encoding/json does (shortest
-// round-trip form, 'e' notation outside [1e-6, 1e21), exponent zero-pad
-// stripped). Non-finite values — unreachable from released artifacts —
-// render as null rather than corrupting the document.
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(b, "null"...)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendQueryResponse renders the batched-query reply into buf.
+// appendQueryResponse renders the batched-query reply into buf. A
+// non-finite count — unreachable from released artifacts — renders as
+// null rather than corrupting the document.
 func appendQueryResponse(buf []byte, releaseID string, counts []float64, elapsedNS int64) []byte {
 	buf = append(buf, `{"release_id":`...)
 	buf = strconv.AppendQuote(buf, releaseID)
@@ -519,7 +237,10 @@ func appendQueryResponse(buf []byte, releaseID string, counts []float64, elapsed
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendJSONFloat(buf, c)
+		var err error
+		if buf, err = wire.AppendFloat(buf, c); err != nil {
+			buf = append(buf, "null"...)
+		}
 	}
 	buf = append(buf, `],"queries":`...)
 	buf = strconv.AppendInt(buf, int64(len(counts)), 10)

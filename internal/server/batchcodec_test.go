@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -89,15 +90,15 @@ func TestAppendQueryResponseMatchesEncodingJSON(t *testing.T) {
 				i, counts[i], math.Float64bits(counts[i]), decoded.Counts[i], math.Float64bits(decoded.Counts[i]))
 		}
 	}
-	// Spot-check the formatting itself mirrors encoding/json.
-	for _, f := range counts {
-		want, err := json.Marshal(f)
-		if err != nil {
-			continue
-		}
-		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-			t.Fatalf("float %v rendered %q, encoding/json renders %q", f, got, want)
-		}
+}
+
+// TestAppendQueryResponseNonFiniteIsNull checks that a count with no JSON
+// form renders as null, keeping the response a valid document.
+func TestAppendQueryResponseNonFiniteIsNull(t *testing.T) {
+	buf := appendQueryResponse(nil, "r1", []float64{1.5, math.NaN(), math.Inf(1), math.Inf(-1), 2}, 7)
+	want := `{"release_id":"r1","counts":[1.5,null,null,null,2],"queries":5,"elapsed_ns":7}`
+	if string(buf) != want {
+		t.Fatalf("response %s, want %s", buf, want)
 	}
 }
 
@@ -116,6 +117,8 @@ func TestParseQueryBodyHostile(t *testing.T) {
 		`{"strings":[[01]]}`, `{"strings":[[-01]]}`, `{"strings":[[007]]}`,
 		`{"unknown":[[1]]}`, `{"queries":[[1]],"extra":1}`,
 		`{"queries":[1,2]}`, `{"queries":{"a":1}}`, `{"strings":"abc"}`,
+		`{"quer\u0069ez":[[1]]}`, `{"queries":[[1]]} x`, `{"queries":[[1]]}{}`,
+		`{"queries":[null]}`, `{"queries":[[null]]}`, `{"strings":[[-2147483648]]}`,
 	}
 	for _, body := range bad {
 		var sc queryScratch
@@ -128,6 +131,7 @@ func TestParseQueryBodyHostile(t *testing.T) {
 		`{}`, `{"queries":null}`, `{"queries":[]}`, `{"strings":[[]]}`,
 		` { "queries" : [ [ 1 , 2 ] ] } `,
 		`{"queries":[[1,2]],"strings":null}`,
+		`{"quer\u0069es":[[1,2]]}`, `{"\u0073trings":[[1]]}`, `{"queries":[[1]]}` + "\n",
 	}
 	for _, body := range good {
 		var sc queryScratch
@@ -155,6 +159,64 @@ func TestParseQueryBodyRowLimit(t *testing.T) {
 	}
 	if _, err := parseQueryBody(b.String(), &sc, 50); err != nil {
 		t.Fatalf("50 rows at limit 50 rejected: %v", err)
+	}
+}
+
+// TestParseBodiesAllocateNothing checks that the query and ingest readers
+// scan the pooled body in place: on a warm scratch, decoding a batch
+// allocates nothing at all.
+func TestParseBodiesAllocateNothing(t *testing.T) {
+	query := []byte(`{"queries":[[0.1,0.2,0.3,0.4],[0,0,1,1e-7]],"strings":[[0,1],[2]]}`)
+	ingest := []byte(`{"batch_seq":12,"points":[[0.25,0.5],[1e-3,0.75]],"strings":null,"seal":true}`)
+	var sc queryScratch
+	for name, parse := range map[string]func() error{
+		"query": func() error { _, err := parseQueryBody(query, &sc, 100); return err },
+		"ingest": func() error {
+			batch, err := parseIngestBody(ingest, &sc, 100)
+			if err == nil && (batch.batchSeq != 12 || !batch.seal || !batch.hasPoints) {
+				err = fmt.Errorf("decoded %+v", batch)
+			}
+			return err
+		},
+	} {
+		if err := parse(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := parse(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s body: %v allocs per decode on a warm scratch, want 0", name, allocs)
+		}
+	}
+}
+
+// TestParseIngestBodyHostile drives malformed and edge-case ingest bodies
+// through the reader, as TestParseQueryBodyHostile does for queries.
+func TestParseIngestBodyHostile(t *testing.T) {
+	bad := []string{
+		``, `null`, `[]`, `{"batch_seq":null}`, `{"batch_seq":-1}`, `{"batch_seq":1.5}`,
+		`{"batch_seq":18446744073709551616}`, `{"seal":null}`, `{"seal":1}`, `{"points":[null]}`,
+		`{"points":[[0.5,null]]}`, `{"strings":[[1e2]]}`, `{"unknown":1}`, `{"b\u0061tch_sek":1}`,
+		`{"Points":[[0.5,0.5]]}`, `{"seal":true} x`, `{"points":[[0.5,0.5],]}`,
+	}
+	for _, body := range bad {
+		var sc queryScratch
+		if _, err := parseIngestBody([]byte(body), &sc, 100); err == nil {
+			t.Errorf("hostile body accepted: %s", body)
+		}
+	}
+	good := []string{
+		`{}`, `{"points":null}`, `{"batch_seq":18446744073709551615}`, `{"seal":false}`,
+		`{"b\u0061tch_seq":3,"p\u006fints":[[0.5,0.5]],"\u0073eal":true}`, `{"\u0073trings":[[1]]}`,
+	}
+	for _, body := range good {
+		var sc queryScratch
+		if _, err := parseIngestBody([]byte(body), &sc, 100); err != nil {
+			t.Errorf("valid body %s rejected: %v", body, err)
+		}
 	}
 }
 

@@ -3,11 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 
 	"privtree"
 	"privtree/internal/obs"
+	"privtree/internal/wire"
 )
 
 // POST /v1/datasets/{name}/ingest — the write side of a streaming
@@ -35,106 +35,27 @@ type ingestBatch struct {
 }
 
 // parseIngestBody decodes {"batch_seq":N, "points":[[...],...],
-// "strings":[[...],...], "seal":bool} into sc's pooled buffers. Unknown
-// fields are rejected, mirroring the query codec.
-func parseIngestBody(s string, sc *queryScratch, maxRows int) (ingestBatch, error) {
-	p := parser{s: s}
+// "strings":[[...],...], "seal":bool} into sc's pooled buffers, reading
+// body in place. Unknown fields are rejected, mirroring the query codec.
+func parseIngestBody(body []byte, sc *queryScratch, maxRows int) (ingestBatch, error) {
 	var out ingestBatch
-	p.ws()
-	if !p.eat('{') {
-		return out, p.fail("expected an object")
-	}
-	p.ws()
-	if p.eat('}') {
-		return out, nil
-	}
-	for {
-		key, err := p.key()
-		if err != nil {
-			return out, err
-		}
-		p.ws()
-		if !p.eat(':') {
-			return out, p.fail("expected ':' after field name")
-		}
-		switch key {
+	r := wire.NewReader(body)
+	err := strictObject(r, func(key []byte) (err error) {
+		switch string(key) {
 		case "batch_seq":
-			v, err := p.uint()
-			if err != nil {
-				return out, err
-			}
-			out.batchSeq = v
+			out.batchSeq, err = r.Uint()
 		case "points":
-			present, err := p.floatRows(&sc.flat, &sc.offs, maxRows, nil)
-			if err != nil {
-				return out, err
-			}
-			out.hasPoints = present
+			out.hasPoints, err = readRows(r, &sc.flat, &sc.offs, maxRows, nil, r.Float)
 		case "strings":
-			present, err := p.intRows(&sc.syms, &sc.soffs, maxRows, nil)
-			if err != nil {
-				return out, err
-			}
-			out.hasStrings = present
+			out.hasStrings, err = readRows(r, &sc.syms, &sc.soffs, maxRows, nil, symbolReader(r))
 		case "seal":
-			v, err := p.boolean()
-			if err != nil {
-				return out, err
-			}
-			out.seal = v
+			out.seal, err = r.Bool()
 		default:
-			return out, fmt.Errorf("unknown field %q", key)
+			err = unknownField(key)
 		}
-		p.ws()
-		if p.eat(',') {
-			p.ws()
-			continue
-		}
-		if p.eat('}') {
-			return out, nil
-		}
-		return out, p.fail("expected ',' or '}' in object")
-	}
-}
-
-// uint parses a non-negative JSON integer literal as a uint64.
-func (p *parser) uint() (uint64, error) {
-	p.ws()
-	s := p.s
-	start := p.i
-	var v uint64
-	for p.i < len(s) && s[p.i] >= '0' && s[p.i] <= '9' {
-		d := uint64(s[p.i] - '0')
-		if v > (math.MaxUint64-d)/10 {
-			return 0, p.fail("integer out of range")
-		}
-		v = v*10 + d
-		p.i++
-	}
-	if p.i == start {
-		return 0, p.fail("expected a non-negative integer")
-	}
-	if p.i-start > 1 && s[start] == '0' {
-		return 0, p.fail("leading zero in integer")
-	}
-	if p.i < len(s) && (s[p.i] == '.' || s[p.i] == 'e' || s[p.i] == 'E') {
-		return 0, p.fail("expected an integer, not a float")
-	}
-	return v, nil
-}
-
-// boolean parses the literal true or false.
-func (p *parser) boolean() (bool, error) {
-	p.ws()
-	if len(p.s)-p.i >= 4 && p.s[p.i:p.i+4] == "true" {
-		p.i += 4
-		return true, nil
-	}
-	if len(p.s)-p.i >= 5 && p.s[p.i:p.i+5] == "false" {
-		p.i += 5
-		return false, nil
-	}
-	return false, p.fail("expected true or false")
+		return err
+	})
+	return out, err
 }
 
 // ingestResponse acknowledges one ingest batch. Applied counts are
@@ -205,7 +126,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, &APIError{Code: CodeBadRequest, Message: "reading body: " + err.Error()})
 		return
 	}
-	batch, err := parseIngestBody(string(body), sc, s.opts.MaxBatch)
+	batch, err := parseIngestBody(body, sc, s.opts.MaxBatch)
 	if err != nil {
 		if errors.Is(err, errBatchTooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, &APIError{Code: CodeTooLarge,

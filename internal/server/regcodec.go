@@ -1,22 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
-	"strings"
 
-	"privtree"
+	"privtree/internal/wire"
 )
 
 // The registration reader: one pass over a dataset.json document or a
-// POST /v1/datasets body with the query plane's parser, instead of
+// POST /v1/datasets body with internal/wire's reader, instead of
 // encoding/json's reflection (which, on a registration carrying a million
-// inline points, was most of a restart). The rules:
+// inline points, was most of a restart). The document is read in place,
+// without a copy. The rules, all kept here:
 //
-//   - points and sequences are read by floatRows/intRows into one fresh
-//     slab per array, and the rows alias it. The slab is never pooled:
-//     the dataset keeps the rows.
+//   - points and sequences are read by readRows into one fresh slab per
+//     array, and the rows alias it. The slab is never pooled: the dataset
+//     keeps the rows.
 //   - every other field (the scalars, domain, synthetic, stream and
 //     created_at) is small and is decoded from its raw span by
 //     encoding/json, so the struct tags stay the one definition of those
@@ -37,219 +37,93 @@ import (
 // decodeDatasetFile reads a dataset.json document.
 func decodeDatasetFile(doc []byte) (persistedDataset, error) {
 	var pd persistedDataset
-	p := parser{s: string(doc)}
-	err := p.document(func(key string) error {
-		switch key {
+	r := wire.NewReader(doc)
+	err := r.Object(func(key []byte) error {
+		switch string(key) {
 		case "privtreed_dataset":
-			return p.jsonField(&pd.Version)
+			return jsonField(r, &pd.Version)
 		case "created_at":
-			return p.jsonField(&pd.CreatedAt)
+			return jsonField(r, &pd.CreatedAt)
 		case "request":
-			return p.object(p.requestField(&pd.Request))
+			return r.Object(requestField(r, &pd.Request))
 		}
-		return fmt.Errorf("unknown field %q", key)
+		return unknownField(key)
 	})
+	if err == nil {
+		err = r.End()
+	}
 	return pd, err
 }
 
 // decodeRegisterRequest reads a POST /v1/datasets body.
 func decodeRegisterRequest(body []byte) (registerRequest, error) {
 	var req registerRequest
-	p := parser{s: string(body)}
-	err := p.document(p.requestField(&req))
+	r := wire.NewReader(body)
+	err := r.Object(requestField(r, &req))
+	if err == nil {
+		err = r.End()
+	}
 	return req, err
 }
 
 // requestField returns the field reader of a registerRequest object.
-func (p *parser) requestField(req *registerRequest) func(string) error {
-	return func(key string) error {
-		switch key {
+func requestField(r *wire.Reader, req *registerRequest) func([]byte) error {
+	return func(key []byte) error {
+		switch string(key) {
 		case "name":
-			return p.jsonField(&req.Name)
+			return jsonField(r, &req.Name)
 		case "kind":
-			return p.jsonField(&req.Kind)
+			return jsonField(r, &req.Kind)
 		case "epsilon":
-			return p.jsonField(&req.Epsilon)
+			return jsonField(r, &req.Epsilon)
 		case "domain":
-			return p.jsonField(&req.Domain)
+			return jsonField(r, &req.Domain)
 		case "csv":
-			return p.jsonField(&req.CSV)
+			return jsonField(r, &req.CSV)
 		case "points":
-			return p.points(&req.Points)
+			return rowsField(r, &req.Points, r.Float)
 		case "synthetic":
-			return p.jsonField(&req.Synthetic)
+			return jsonField(r, &req.Synthetic)
 		case "alphabet":
-			return p.jsonField(&req.Alphabet)
+			return jsonField(r, &req.Alphabet)
 		case "sequences":
-			return p.sequences(&req.Sequences)
+			return rowsField(r, &req.Sequences, r.Int)
 		case "stream":
-			return p.jsonField(&req.Stream)
+			return jsonField(r, &req.Stream)
 		}
-		return fmt.Errorf("unknown field %q", key)
+		return unknownField(key)
 	}
 }
 
-// document reads one whole JSON document: an object (or null) whose
-// fields go to field, with nothing but whitespace after it.
-func (p *parser) document(field func(string) error) error {
-	if err := p.object(field); err != nil {
-		return err
-	}
-	p.ws()
-	if p.i != len(p.s) {
-		return p.fail("unexpected data after the document")
-	}
-	return nil
-}
-
-// object reads an object, or null, calling field with the parser at each
-// value.
-func (p *parser) object(field func(string) error) error {
-	p.ws()
-	if p.null() {
-		return nil
-	}
-	if !p.eat('{') {
-		return p.fail("expected an object")
-	}
-	p.ws()
-	if p.eat('}') {
-		return nil
-	}
-	for {
-		key, err := p.fieldName()
-		if err != nil {
-			return err
-		}
-		p.ws()
-		if !p.eat(':') {
-			return p.fail("expected ':' after field name")
-		}
-		p.ws()
-		if err := field(key); err != nil {
-			return err
-		}
-		p.ws()
-		if p.eat(',') {
-			continue
-		}
-		if p.eat('}') {
-			return nil
-		}
-		return p.fail("expected ',' or '}' in object")
-	}
-}
-
-// fieldName reads an object key, unescaping it when it holds escapes.
-func (p *parser) fieldName() (string, error) {
-	p.ws()
-	start := p.i
-	key, err := p.key()
-	if err != nil || strings.IndexByte(key, '\\') < 0 {
-		return key, err
-	}
-	if err := json.Unmarshal([]byte(p.s[start:p.i]), &key); err != nil {
-		return "", fmt.Errorf("bad field name at offset %d: %w", start, err)
-	}
-	return key, nil
-}
-
-// jsonField decodes the value at the parser with encoding/json, unknown
+// jsonField decodes the value at the reader with encoding/json, unknown
 // fields rejected.
-func (p *parser) jsonField(dst any) error {
-	start := p.i
-	if err := p.skipValue(); err != nil {
+func jsonField(r *wire.Reader, dst any) error {
+	span, err := r.Raw()
+	if err != nil {
 		return err
 	}
-	span := p.s[start:p.i]
-	dec := json.NewDecoder(strings.NewReader(span))
+	dec := json.NewDecoder(bytes.NewReader(span))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("at offset %d: %w", start, err)
-	}
-	if dec.InputOffset() != int64(len(span)) {
-		// The span was a literal with junk glued on, such as nullx.
-		return fmt.Errorf("at offset %d: malformed value", start)
-	}
-	return nil
+	return dec.Decode(dst)
 }
 
-// skipValue moves past one JSON value without decoding it. It only has to
-// find the value's end: the span is then validated by encoding/json.
-func (p *parser) skipValue() error {
-	depth := 0
-	for p.i < len(p.s) {
-		switch c := p.s[p.i]; c {
-		case '"':
-			p.i++
-			for p.i < len(p.s) && p.s[p.i] != '"' {
-				if p.s[p.i] == '\\' {
-					p.i++
-				}
-				p.i++
-			}
-			if p.i >= len(p.s) {
-				return p.fail("unterminated string")
-			}
-			p.i++
-		case '{', '[':
-			depth++
-			p.i++
-		case '}', ']':
-			if depth == 0 {
-				return p.fail("expected a value")
-			}
-			depth--
-			p.i++
-		case ' ', '\t', '\n', '\r', ',', ':':
-			if depth == 0 {
-				return p.fail("expected a value")
-			}
-			p.i++
-		default: // a number or a literal: up to the next delimiter
-			for p.i < len(p.s) && strings.IndexByte(" \t\n\r,:]}[{\"", p.s[p.i]) < 0 {
-				p.i++
-			}
+// rowsField reads a points or sequences array into one fresh slab, sized
+// by arrayShape so that it never grows; num reads one number.
+func rowsField[R ~[]E, E float64 | int](r *wire.Reader, dst *[]R, num func() (E, bool, error)) error {
+	if null, err := r.Null(); null || err != nil {
+		if null {
+			*dst = nil
 		}
-		if depth == 0 {
-			return nil
-		}
-	}
-	return p.fail("unterminated value")
-}
-
-// points reads the points array into one fresh slab, sized by arrayShape
-// so that it never grows.
-func (p *parser) points(dst *[]privtree.Point) error {
-	if p.null() {
-		*dst = nil
-		return nil
-	}
-	commas, opens := arrayShape(p.s[p.i:])
-	flat := make([]float64, 0, commas+1)
-	offs := make([]int32, 0, opens+1)
-	var nulls rowNulls
-	if _, err := p.floatRows(&flat, &offs, math.MaxInt32, &nulls); err != nil {
 		return err
 	}
-	*dst = slabRows(flat, offs, nulls, *dst)
-	return nil
-}
-
-// sequences reads the sequences array into one fresh slab, as points.
-func (p *parser) sequences(dst *[]privtree.Sequence) error {
-	if p.null() {
-		*dst = nil
-		return nil
-	}
-	commas, opens := arrayShape(p.s[p.i:])
-	syms := make([]int, 0, commas+1)
+	commas, opens := arrayShape(r.Rest())
+	slab := make([]E, 0, commas+1)
 	offs := make([]int32, 0, opens+1)
 	var nulls rowNulls
-	if _, err := p.intRows(&syms, &offs, math.MaxInt32, &nulls); err != nil {
+	if _, err := readRows(r, &slab, &offs, math.MaxInt32, &nulls, num); err != nil {
 		return err
 	}
-	*dst = slabRows(syms, offs, nulls, *dst)
+	*dst = slabRows(slab, offs, nulls, *dst)
 	return nil
 }
 
@@ -301,14 +175,14 @@ func slabRows[R ~[]E, E float64 | int](slab []E, offs []int32, nulls rowNulls, o
 }
 
 // arrayShape counts the commas and opening brackets of the array of rows
-// at the start of s, up to its closing bracket. A row array holds at most
+// at the start of b, up to its closing bracket. A row array holds at most
 // one number more than it has commas, and fewer rows than brackets. The
 // scan stops at the array's end, so repeated keys cost no more than their
 // own bytes; anything that is not an array counts as empty.
-func arrayShape(s string) (commas, opens int) {
+func arrayShape(b []byte) (commas, opens int) {
 	depth := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
+	for _, c := range b {
+		switch c {
 		case ',':
 			commas++
 		case '[':

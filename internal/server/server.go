@@ -1079,7 +1079,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, &APIError{Code: CodeBadRequest, Message: "reading body: " + err.Error()})
 		return
 	}
-	batch, err := parseQueryBody(string(body), sc, s.opts.MaxBatch)
+	batch, err := parseQueryBody(body, sc, s.opts.MaxBatch)
 	if err != nil {
 		if errors.Is(err, errBatchTooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, &APIError{Code: CodeTooLarge,

@@ -8,6 +8,7 @@ import (
 
 	"privtree/internal/core"
 	"privtree/internal/geom"
+	"privtree/internal/wire"
 )
 
 // This file serializes released artifacts. A serialized tree contains
@@ -46,17 +47,17 @@ func appendSpatialPayload(b []byte, tree *core.Tree) ([]byte, error) {
 func appendSpatialNode(b []byte, n core.NodeRef) ([]byte, error) {
 	region := n.Region()
 	b = append(b, `{"lo":`...)
-	b, err := appendWireFloats(b, region.Lo)
+	b, err := wire.AppendFloats(b, region.Lo)
 	if err != nil {
 		return b, err
 	}
 	b = append(b, `,"hi":`...)
-	if b, err = appendWireFloats(b, region.Hi); err != nil {
+	if b, err = wire.AppendFloats(b, region.Hi); err != nil {
 		return b, err
 	}
 	if n.IsLeaf() {
 		b = append(b, `,"count":`...)
-		if b, err = appendWireFloat(b, n.Count()); err != nil {
+		if b, err = wire.AppendFloat(b, n.Count()); err != nil {
 			return b, err
 		}
 		return append(b, '}'), nil
@@ -97,36 +98,36 @@ const maxWireFanout = 1 << 20
 // missing leaf counts — is rejected with an error before any tree is
 // exposed; t is left unmodified on failure.
 func (t *SpatialTree) UnmarshalJSON(data []byte) error {
-	r := &wireReader{data: data}
-	tree, err := readSpatialPayload(r)
+	tree, err := readSpatialPayload(data)
 	if err != nil {
-		return err
-	}
-	if err := r.end(); err != nil {
 		return err
 	}
 	t.tree = tree
 	return nil
 }
 
-// readSpatialPayload decodes the payload document at the cursor: one pass
-// over the bytes fills a wire-node table, then one walk of that table
-// validates every node and lays the arena out depth first, each node's
-// children as one block — the layout the builder gives a fresh build.
-func readSpatialPayload(r *wireReader) (*core.Tree, error) {
+// readSpatialPayload decodes a payload document: one pass over the bytes
+// fills a wire-node table, then one walk of that table validates every
+// node and lays the arena out depth first, each node's children as one
+// block — the layout the builder gives a fresh build.
+func readSpatialPayload(data []byte) (*core.Tree, error) {
+	r := wire.NewReader(data)
 	t := newTreeReader(r, "lo", "hi", "count")
 	var version, fanout int
-	err := r.fields(func(key []byte) error {
+	err := r.Object(func(key []byte) error {
 		switch string(key) {
 		case "version":
-			return r.intInto(&version)
+			return r.IntInto(&version)
 		case "fanout":
-			return r.intInto(&fanout)
+			return r.IntInto(&fanout)
 		case "root":
 			return t.node(0)
 		}
-		return r.skip()
+		return r.Skip()
 	})
+	if err == nil {
+		err = r.End()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +147,7 @@ func readSpatialPayload(r *wireReader) (*core.Tree, error) {
 	// the wire table also counts entries, such as empty child objects, that
 	// validation rejects; sizing by the table alone would let a wide root
 	// over many such entries reserve d·len(t.nodes) floats.
-	hint := min(len(t.nodes), len(r.data)/(4*len(rootRegion.Lo))+1)
+	hint := min(len(t.nodes), len(data)/(4*len(rootRegion.Lo))+1)
 	b := core.NewBuilder(fanout, hint)
 	b.AddRoot(rootRegion)
 	var regions []geom.Rect

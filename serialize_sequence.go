@@ -8,6 +8,7 @@ import (
 	"privtree/internal/markov"
 	"privtree/internal/pst"
 	"privtree/internal/sequence"
+	"privtree/internal/wire"
 )
 
 // Wire-format sanity bounds: far beyond any real model, tight enough that
@@ -50,7 +51,7 @@ func appendSequencePayload(b []byte, m *SequenceModel) ([]byte, error) {
 
 func appendSequenceNode(b []byte, t *pst.Tree, i int32) ([]byte, error) {
 	b = append(b, `{"hist":`...)
-	b, err := appendWireFloats(b, t.HistAt(i))
+	b, err := wire.AppendFloats(b, t.HistAt(i))
 	if err != nil {
 		return b, err
 	}
@@ -80,38 +81,38 @@ func appendSequenceNode(b []byte, t *pst.Tree, i int32) ([]byte, error) {
 // under a $-anchored context, and depth within l⊤. Truncated or otherwise
 // malformed documents leave the receiver untouched.
 func (m *SequenceModel) UnmarshalJSON(data []byte) error {
-	r := &wireReader{data: data}
-	model, lTop, err := readSequencePayload(r)
+	model, lTop, err := readSequencePayload(data)
 	if err != nil {
-		return err
-	}
-	if err := r.end(); err != nil {
 		return err
 	}
 	m.model, m.lTop = model, lTop
 	return nil
 }
 
-// readSequencePayload decodes the payload document at the cursor: one
-// pass over the bytes fills a wire-node table, then one walk of that
-// table validates every node and lays the arena and its histogram slab
-// out depth first, each expanded node's β children as one block.
-func readSequencePayload(r *wireReader) (*markov.Model, int, error) {
+// readSequencePayload decodes a payload document: one pass over the
+// bytes fills a wire-node table, then one walk of that table validates
+// every node and lays the arena and its histogram slab out depth first,
+// each expanded node's β children as one block.
+func readSequencePayload(data []byte) (*markov.Model, int, error) {
+	r := wire.NewReader(data)
 	t := newTreeReader(r, "hist", "", "")
 	var version, k, lTop int
-	err := r.fields(func(key []byte) error {
+	err := r.Object(func(key []byte) error {
 		switch string(key) {
 		case "version":
-			return r.intInto(&version)
+			return r.IntInto(&version)
 		case "alphabet":
-			return r.intInto(&k)
+			return r.IntInto(&k)
 		case "ltop":
-			return r.intInto(&lTop)
+			return r.IntInto(&lTop)
 		case "root":
 			return t.node(0)
 		}
-		return r.skip()
+		return r.Skip()
 	})
+	if err == nil {
+		err = r.End()
+	}
 	if err != nil {
 		return nil, 0, err
 	}
