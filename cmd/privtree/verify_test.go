@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"privtree/internal/server"
 	"privtree/internal/store"
 )
 
@@ -181,4 +184,44 @@ func TestVerifyDetectsHostileEdits(t *testing.T) {
 			t.Fatal("verify accepted no arguments")
 		}
 	})
+}
+
+// TestVerifyDatasetFileV2 registers a dataset with inline points on a
+// real server, so its dataset.json is the version-2 file privtreed
+// writes: verify passes it, and fails it, naming the file, once one byte
+// of its binary row section is flipped.
+func TestVerifyDatasetFileV2(t *testing.T) {
+	root := t.TempDir()
+	srv, err := server.New(server.Options{DataDir: root, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets",
+		strings.NewReader(`{"name":"v2","epsilon":1,"points":[[0.125,0.25],[0.5,0.75],[-0,5e-324]]}`)))
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("register = %d %s", rec.Code, rec.Body)
+	}
+	if out, err := verifyOutput(t, []string{root}); err != nil {
+		t.Fatalf("verify of a clean version-2 data dir: %v\n%s", err, out)
+	}
+	path := filepath.Join(root, "datasets", "v2", "dataset.json")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[bytes.IndexByte(blob, '\n')+3] ^= 0x01
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := verifyOutput(t, []string{root})
+	if err == nil {
+		t.Fatalf("verify accepted a flipped row byte:\n%s", out)
+	}
+	if !strings.Contains(out, "[error] "+path) || !strings.Contains(out, "checksum") {
+		t.Fatalf("verify output does not name %s and its checksum:\n%s", path, out)
+	}
 }

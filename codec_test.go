@@ -219,36 +219,61 @@ var knownWireKeys = []string{
 // hasFoldedKey reports whether some object key in the document matches a
 // key the readers know only case-insensitively. encoding/json folds case
 // when matching keys and the codec does not: that is the one documented
-// way the two may disagree.
+// way the two may disagree. The keys are found by walking the document's
+// string tokens, so every occurrence counts, also of a key inside a value
+// that a repeated key later overwrites (decoding into a map keeps only
+// the last one and misses it).
 func hasFoldedKey(data []byte) bool {
-	var doc any
-	if json.Unmarshal(data, &doc) != nil {
+	if !json.Valid(data) {
 		return false
 	}
-	var walk func(v any) bool
-	walk = func(v any) bool {
-		switch v := v.(type) {
-		case map[string]any:
-			for k, child := range v {
-				for _, known := range knownWireKeys {
-					if k != known && strings.EqualFold(k, known) {
-						return true
-					}
-				}
-				if walk(child) {
-					return true
-				}
-			}
-		case []any:
-			for _, child := range v {
-				if walk(child) {
-					return true
-				}
+	for i := 0; i < len(data); i++ {
+		if data[i] != '"' {
+			continue
+		}
+		start := i
+		for i++; data[i] != '"'; i++ {
+			if data[i] == '\\' {
+				i++
 			}
 		}
-		return false
+		lit := data[start : i+1]
+		j := i + 1
+		for j < len(data) && strings.IndexByte(" \t\r\n", data[j]) >= 0 {
+			j++
+		}
+		if j == len(data) || data[j] != ':' {
+			continue // a string value, not a key
+		}
+		key := string(lit[1 : len(lit)-1])
+		if bytes.IndexByte(lit, '\\') >= 0 && json.Unmarshal(lit, &key) != nil {
+			continue
+		}
+		for _, known := range knownWireKeys {
+			if key != known && strings.EqualFold(key, known) {
+				return true
+			}
+		}
 	}
-	return walk(doc)
+	return false
+}
+
+// TestHasFoldedKey pins the fuzz oracle's exemption: a case-folded key
+// counts wherever it occurs, escaped or inside an overwritten repeated
+// key, and a string value or an exact key does not.
+func TestHasFoldedKey(t *testing.T) {
+	for doc, want := range map[string]bool{
+		`{"children":[{"CouNt":0}],"children":[]}`: true,
+		`{"root":{"\u0043ount":1}}`:                true,
+		`{"root":{"count":1,"lo":["Count"]}}`:      false,
+		`{"Count" : 1}`:                            true,
+		`{"count":1}`:                              false,
+		`{"Count":1`:                               false,
+	} {
+		if got := hasFoldedKey([]byte(doc)); got != want {
+			t.Errorf("hasFoldedKey(%s) = %v, want %v", doc, got, want)
+		}
+	}
 }
 
 // sameRelease reports whether two decoded releases are the same: same

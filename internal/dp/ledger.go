@@ -164,15 +164,29 @@ func (l *Ledger) RefundTraced(eps float64, note, traceID string) {
 func (l *Ledger) Restore(history []Debit) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	spent := 0.0
-	for _, d := range history {
-		spent += d.Epsilon
-		if spent < 0 {
-			spent = 0
+	l.spent, l.debits = 0, nil
+	l.replayLocked(history)
+}
+
+// Replay appends recovered entries to the audit trail, continuing
+// Restore's arithmetic from the current spent ε: Restore(a) followed by
+// Replay(b) leaves the ledger exactly as Restore(a+b) would. A read
+// replica applies each shipped batch of WAL records this way instead of
+// replaying its whole history again.
+func (l *Ledger) Replay(entries []Debit) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.replayLocked(entries)
+}
+
+func (l *Ledger) replayLocked(entries []Debit) {
+	for _, d := range entries {
+		l.spent += d.Epsilon
+		if l.spent < 0 {
+			l.spent = 0
 		}
 	}
-	l.spent = spent
-	l.debits = append(l.debits[:0:0], history...)
+	l.debits = append(l.debits, entries...)
 }
 
 // History returns a copy of the ledger's audit trail in spend order.

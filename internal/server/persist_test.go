@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"privtree"
 )
@@ -301,4 +303,140 @@ func queryOne(t *testing.T, client *http.Client, url string) float64 {
 		t.Fatalf("got %d counts, want 1", len(out.Counts))
 	}
 	return out.Counts[0]
+}
+
+// registerBodies registers each body on srv over HTTP.
+func registerBodies(t *testing.T, srv *Server, bodies ...string) {
+	t.Helper()
+	for _, body := range bodies {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", strings.NewReader(body)))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("register %s = %d %s", body, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestRecoveryRejectsFlippedRowByte flips one byte of a version-2
+// dataset.json's row section, which version 1 had no way to notice:
+// startup must fail with an error that names the dataset and the
+// checksum.
+func TestRecoveryRejectsFlippedRowByte(t *testing.T) {
+	for _, body := range []string{registrationBodies["points"], registrationBodies["sequences"]} {
+		dataDir := t.TempDir()
+		srv := mustNew(t, Options{DataDir: dataDir, Workers: 1})
+		registerBodies(t, srv, body)
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		name := decodeBody(t, body).Name
+		path := filepath.Join(dataDir, "datasets", name, "dataset.json")
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := bytes.IndexByte(blob, '\n')
+		blob[nl+1+(len(blob)-nl-5)/2] ^= 0x10
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(Options{DataDir: dataDir, Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("%s: startup over a flipped row byte = %v, want a checksum error naming the dataset", name, err)
+		}
+	}
+}
+
+// TestRegistrationRowsSurviveRestartAndReplica registers inline points
+// (with -0, subnormals and the smallest float) and inline sequences,
+// buys a release of each and lets a replica catch up. The replica's
+// dataset.json must be the primary's bytes and read back to the
+// registered rows, bit for bit. After promotion, and again after a
+// restart of the promoted node, repeating the purchased parameters must
+// be a cache hit with no debit.
+func TestRegistrationRowsSurviveRestartAndReplica(t *testing.T) {
+	primary := mustNew(t, Options{DataDir: t.TempDir(), Workers: 1})
+	tsP := httptest.NewServer(primary)
+	defer tsP.Close()
+	defer primary.Close()
+	client := tsP.Client()
+	bodies := []string{registrationBodies["points"], registrationBodies["sequences"]}
+	registerBodies(t, primary, bodies...)
+	params := map[string]any{"epsilon": 0.25, "seed": 7}
+	ids := map[string]string{}
+	for _, body := range bodies {
+		name := decodeBody(t, body).Name
+		var rel releaseResponse
+		if code := doJSON(t, client, "POST", tsP.URL+"/v1/datasets/"+name+"/releases", params, &rel); code != http.StatusCreated {
+			t.Fatalf("%s: release = %d", name, code)
+		}
+		ids[name] = rel.Release.ID
+	}
+
+	replicaDir := t.TempDir()
+	replica := mustNew(t, Options{DataDir: replicaDir, Workers: 1, ReplicaOf: tsP.URL, ReplicaPoll: 10 * time.Millisecond})
+	waitUntil(t, "replica catch-up", func() bool {
+		for name := range ids {
+			dP, _ := primary.Registry().Get(name)
+			dR, ok := replica.Registry().Get(name)
+			if !ok || dR.WALSeq() < dP.WALSeq() {
+				return false
+			}
+		}
+		return true
+	})
+	for _, body := range bodies {
+		want := decodeBody(t, body)
+		pBlob, err := os.ReadFile(filepath.Join(primary.datasetDir(want.Name), "dataset.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rBlob, err := os.ReadFile(filepath.Join(replica.datasetDir(want.Name), "dataset.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pBlob, rBlob) {
+			t.Fatalf("%s: the replica's dataset.json differs from the primary's", want.Name)
+		}
+		pd, err := parseDatasetFile(rBlob, want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRequest(&pd.Request, &want); err != nil {
+			t.Fatalf("%s: replica rows differ from the registered rows: %v", want.Name, err)
+		}
+	}
+
+	tsR := httptest.NewServer(replica)
+	if code := doJSON(t, client, "POST", tsR.URL+"/v1/admin/promote", map[string]any{}, nil); code != http.StatusOK {
+		t.Fatalf("promote: %d", code)
+	}
+	repeat := func(srv *Server, url, when string) {
+		t.Helper()
+		for name, id := range ids {
+			d, _ := srv.Registry().Get(name)
+			spent := d.Ledger.Spent()
+			var hit releaseResponse
+			if code := doJSON(t, client, "POST", url+"/v1/datasets/"+name+"/releases", params, &hit); code != http.StatusOK {
+				t.Fatalf("%s, %s: repeated release = %d, want 200", when, name, code)
+			}
+			if !hit.Cached || hit.Release.ID != id {
+				t.Fatalf("%s, %s: repeated release cached=%v id=%s, want the cached %s", when, name, hit.Cached, hit.Release.ID, id)
+			}
+			if got := d.Ledger.Spent(); got != spent {
+				t.Fatalf("%s, %s: repeated release debited: %v -> %v", when, name, spent, got)
+			}
+		}
+	}
+	repeat(replica, tsR.URL, "promoted replica")
+	tsR.Close()
+	if err := replica.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := mustNew(t, Options{DataDir: replicaDir, Workers: 1})
+	defer restarted.Close()
+	tsS := httptest.NewServer(restarted)
+	defer tsS.Close()
+	repeat(restarted, tsS.URL, "restarted")
 }

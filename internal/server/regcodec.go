@@ -8,19 +8,20 @@ import (
 	"privtree/internal/wire"
 )
 
-// The registration reader: one pass over a dataset.json document or a
-// POST /v1/datasets body with internal/wire's reader, instead of
-// encoding/json's reflection (which, on a registration carrying a million
-// inline points, was most of a restart). The document is read in place,
-// without a copy. The rules, all kept here:
+// The registration reader: one pass over a POST /v1/datasets body, a
+// version-1 dataset.json or the header line of a version-2 one (see
+// persist.go) with internal/wire's reader, instead of encoding/json's
+// reflection (which, on a registration carrying a million inline points,
+// was most of a restart). The document is read in place, without a copy.
+// The rules, all kept here:
 //
 //   - points and sequences are read by readRows into one fresh slab per
 //     array, and the rows alias it. The slab is never pooled: the dataset
 //     keeps the rows.
-//   - every other field (the scalars, domain, synthetic, stream and
-//     created_at) is small and is decoded from its raw span by
-//     encoding/json, so the struct tags stay the one definition of those
-//     forms.
+//   - every other field (the scalars, domain, synthetic, stream,
+//     created_at and a version-2 header's rows) is small and is decoded
+//     from its raw span by encoding/json, so the struct tags stay the one
+//     definition of those forms.
 //   - keys match exactly (after unescaping) and an unknown key is an
 //     error, also inside the sub-objects. encoding/json would also match
 //     case variants such as "Points" and skip unknown keys.
@@ -32,9 +33,11 @@ import (
 //   - row numbers go through strconv exactly as encoding/json's do, so
 //     the same literals are accepted, out of range, or not integers.
 //
-// The write side stays json.Marshal, so the bytes on disk do not change.
+// dataset.json is written in version 2, whose rows are binary, so on a
+// restart this reader only sees a header, or a version-1 file written
+// before version 2 existed.
 
-// decodeDatasetFile reads a dataset.json document.
+// decodeDatasetFile reads a version-1 dataset.json or a version-2 header.
 func decodeDatasetFile(doc []byte) (persistedDataset, error) {
 	var pd persistedDataset
 	r := wire.NewReader(doc)
@@ -46,6 +49,8 @@ func decodeDatasetFile(doc []byte) (persistedDataset, error) {
 			return jsonField(r, &pd.CreatedAt)
 		case "request":
 			return r.Object(requestField(r, &pd.Request))
+		case "rows":
+			return jsonField(r, &pd.Rows)
 		}
 		return unknownField(key)
 	})

@@ -19,7 +19,7 @@ import (
 // registrationBodies are POST /v1/datasets bodies, one per source kind.
 var registrationBodies = map[string]string{
 	"points": `{"name":"pts","epsilon":1.5,"domain":{"lo":[0,0],"hi":[1,2]},` +
-		`"points":[[0.1,0.2],[0.30000000000000004,1.9999999999999998],[5e-324,1e-7],[0,0]]}`,
+		`"points":[[0.1,0.2],[0.30000000000000004,1.9999999999999998],[5e-324,1e-7],[-0,0],[2.2250738585072009e-308,0]]}`,
 	"csv":       `{"name":"csv","epsilon":1,"csv":"0.1,0.2\n0.5,0.25\n# comment\n0.75,0.125\n"}`,
 	"sequences": `{"name":"seqs","epsilon":2,"kind":"sequence","alphabet":4,"sequences":[[0,1,2],[3],[],[2,2,2,2]]}`,
 	"synthetic": `{"name":"syn","epsilon":1,"synthetic":{"generator":"road","n":500,"seed":7}}`,
@@ -27,21 +27,54 @@ var registrationBodies = map[string]string{
 		`"stream":{"epoch_epsilon":0.25,"window":4,"seal_every":100,"seed":3,"fanout":4,"max_depth":12}}`,
 }
 
-// TestDatasetFileBytesUnchanged registers one dataset of every source
-// kind over HTTP and holds the dataset.json it writes to what json.Marshal
-// made of the same body decoded by encoding/json, the decoder the reader
-// replaced: the bytes on disk must not change. The reader must also read
-// every file back to the request it came from.
-func TestDatasetFileBytesUnchanged(t *testing.T) {
+// decodeBody decodes a registration body with encoding/json, the decoder
+// the registration reader replaced.
+func decodeBody(t *testing.T, body string) registerRequest {
+	t.Helper()
+	var req registerRequest
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
+// TestDatasetFileV1ReadBack holds the reader to version 1, the format
+// data dirs written before version 2 still hold: the json.Marshal of
+// every source kind's registration reads back to the same request,
+// floats compared by their bits.
+func TestDatasetFileV1ReadBack(t *testing.T) {
+	at := time.Date(2026, 3, 4, 5, 6, 7, 890, time.FixedZone("", 3600))
+	for kind, body := range registrationBodies {
+		old := decodeBody(t, body)
+		file, err := json.Marshal(persistedDataset{Version: datasetFileV1, CreatedAt: at, Request: old})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, err := parseDatasetFile(file, old.Name)
+		if err != nil {
+			t.Fatalf("%s: reading a version-1 dataset.json: %v", kind, err)
+		}
+		if err := sameDatasetFile(&pd, &persistedDataset{Version: datasetFileV1, CreatedAt: at, Request: old}); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+}
+
+// TestDatasetFileV2Golden registers one dataset of every source kind
+// over HTTP and holds the dataset.json it writes to the version-2
+// encoding of the body as encoding/json decodes it, and that encoding,
+// at a fixed created_at, to a golden file under testdata/ (regenerate
+// with PRIVTREE_UPDATE_GOLDEN=1). Every file must read back to the
+// request it came from, floats compared by their bits.
+func TestDatasetFileV2Golden(t *testing.T) {
+	update := os.Getenv("PRIVTREE_UPDATE_GOLDEN") == "1"
+	at := time.Date(2026, 3, 4, 5, 6, 7, 890, time.UTC)
 	dir := t.TempDir()
 	srv := mustNew(t, Options{DataDir: dir, Workers: 1})
 	for kind, body := range registrationBodies {
-		var old registerRequest
-		dec := json.NewDecoder(strings.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&old); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
+		old := decodeBody(t, body)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets", strings.NewReader(body)))
 		if rec.Code != http.StatusCreated {
@@ -51,26 +84,41 @@ func TestDatasetFileBytesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stamp struct {
-			CreatedAt time.Time `json:"created_at"`
-		}
-		if err := json.Unmarshal(file, &stamp); err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(persistedDataset{Version: datasetFileVersion, CreatedAt: stamp.CreatedAt, Request: old})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(file, want) {
-			t.Fatalf("%s: dataset.json differs from json.Marshal:\n got %s\nwant %s", kind, file, want)
-		}
-		pd, err := decodeDatasetFile(file)
+		pd, err := parseDatasetFile(file, old.Name)
 		if err != nil {
 			t.Fatalf("%s: reading dataset.json back: %v", kind, err)
 		}
-		again, err := json.Marshal(pd)
-		if err != nil || !bytes.Equal(again, file) {
-			t.Fatalf("%s: dataset.json does not round-trip through the reader (%v):\n got %s\nwant %s", kind, err, again, file)
+		if err := sameRequest(&pd.Request, &old); err != nil {
+			t.Fatalf("%s: dataset.json does not read back to the request: %v", kind, err)
+		}
+		if want, err := encodeDatasetFile(&old, pd.CreatedAt); err != nil || !bytes.Equal(file, want) {
+			t.Fatalf("%s: dataset.json is not the version-2 encoding of the request (%v):\n got %q\nwant %q", kind, err, file, want)
+		}
+
+		golden, err := encodeDatasetFile(&old, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "dataset_v2_"+kind+".bin")
+		if update {
+			if err := os.WriteFile(path, golden, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with PRIVTREE_UPDATE_GOLDEN=1): %v", err)
+		}
+		if !bytes.Equal(golden, want) {
+			t.Fatalf("%s: the version-2 encoding drifted from %s:\n got %q\nwant %q", kind, path, golden, want)
+		}
+		pd, err = parseDatasetFile(want, old.Name)
+		if err != nil {
+			t.Fatalf("%s: reading %s: %v", kind, path, err)
+		}
+		if err := sameDatasetFile(&pd, &persistedDataset{Version: datasetFileV2, CreatedAt: at, Request: old, Rows: pd.Rows}); err != nil {
+			t.Fatalf("%s: %s: %v", kind, path, err)
 		}
 	}
 }
@@ -118,7 +166,7 @@ var (
 	}()
 	fileSchema = func() keySchema {
 		k := jsonKeys(persistedDataset{})
-		k["request"] = requestSchema
+		k["request"], k["rows"] = requestSchema, jsonKeys(rowShape{})
 		return k
 	}()
 )
@@ -214,6 +262,9 @@ func sameDatasetFile(a, b *persistedDataset) error {
 	if !a.CreatedAt.Equal(b.CreatedAt) || !bytes.Equal(at, bt) {
 		return fmt.Errorf("created_at: %v vs %v", a.CreatedAt, b.CreatedAt)
 	}
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		return fmt.Errorf("rows: %+v vs %+v", a.Rows, b.Rows)
+	}
 	return sameRequest(&a.Request, &b.Request)
 }
 
@@ -249,7 +300,7 @@ func FuzzRegistrationDecodeDifferential(f *testing.F) {
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			f.Fatal(err)
 		}
-		doc, err := json.Marshal(persistedDataset{Version: datasetFileVersion, CreatedAt: at, Request: req})
+		doc, err := json.Marshal(persistedDataset{Version: datasetFileV1, CreatedAt: at, Request: req})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -121,7 +121,7 @@ func (s *Server) handleReplRegistration(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	defer f.Close()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = io.Copy(w, f)
 }
 
@@ -169,7 +169,9 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 			// The puller has seen a newer writer than us: we are stale.
 			// Fence durably BEFORE refusing, so a crashed-and-revived stale
 			// primary stays dead.
+			s.regMu.Lock()
 			s.fenceAll(minEpoch)
+			s.regMu.Unlock()
 			writeError(w, http.StatusForbidden, &APIError{Code: CodeFenced,
 				Message: fmt.Sprintf("puller requires writer epoch >= %d, node holds %d; fenced", minEpoch, d.store.WriterEpoch())})
 			return
@@ -208,11 +210,14 @@ func (s *Server) handleReplArtifact(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-// fenceAll durably fences every store-backed dataset below epoch (best
+// fenceAll flips the server's fenced flag, so registrations are refused,
+// and then durably fences every store-backed dataset below epoch (best
 // effort: stores already at or above the epoch refuse, which is correct —
-// they ARE the newer writer) and flips the server's fenced flag so
-// registrations are refused too.
+// they ARE the newer writer). The caller holds s.regMu, and register
+// checks the flag under it: a registration either finishes before the
+// flag flips, and its store is in the list fenced here, or sees the flag.
 func (s *Server) fenceAll(epoch uint64) {
+	s.fenced.Store(true)
 	for _, d := range s.registry.List() {
 		if d.store != nil {
 			if err := d.store.Fence(epoch); err != nil {
@@ -220,7 +225,6 @@ func (s *Server) fenceAll(epoch uint64) {
 			}
 		}
 	}
-	s.fenced.Store(true)
 }
 
 // handleFence durably fences this node below the requested writer epoch.

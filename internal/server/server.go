@@ -82,6 +82,7 @@ import (
 	"privtree/internal/geom"
 	"privtree/internal/obs"
 	"privtree/internal/repl"
+	"privtree/internal/store"
 	"privtree/internal/synth"
 )
 
@@ -607,6 +608,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) register(req *registerRequest) (*Dataset, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
+	if s.fenced.Load() {
+		// Checked again under regMu: the handler's check can race a
+		// fence, which flips the flag under this lock (see fenceAll).
+		return nil, fmt.Errorf("server: node fenced by a higher writer epoch; register datasets on the current primary: %w", store.ErrFenced)
+	}
 	if err := ValidateName(req.Name); err != nil {
 		return nil, err
 	}

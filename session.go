@@ -192,12 +192,14 @@ func ledgerHistory(events []store.Event) []dp.Debit {
 // Store.WALFrames to this read replica's session: the frames are
 // strictly validated and appended to the local WAL verbatim (preserving
 // the primary's sequence numbers, so the replica's history stays a
-// bit-identical prefix of the primary's), the ledger's spent ε is rebuilt
-// by replaying the full replicated history — replicated debits bypass the
-// budget check, because the primary already enforced it and replay must
-// reproduce its arithmetic exactly — and each newly shipped commit is
-// decoded from its (previously fetched, hash-verified) artifact into a
-// recovered release served bit-identically from the persisted bytes.
+// bit-identical prefix of the primary's), the batch's debits and refunds
+// are replayed onto the ledger — replicated debits bypass the budget
+// check, because the primary already enforced it and replay must
+// reproduce its arithmetic exactly; replaying only the new records
+// continues the running sum a full replay would compute — and each newly
+// shipped commit is decoded from its (previously fetched, hash-verified)
+// artifact into a recovered release served bit-identically from the
+// persisted bytes.
 //
 // Artifacts referenced by commit records in the batch must be present in
 // the store (Store.PutArtifact) before the batch is applied; a commit
@@ -216,6 +218,15 @@ func (s *Session) ApplyReplicated(frames []byte) ([]RestoredRelease, error) {
 	if len(applied) == 0 {
 		return nil, nil
 	}
+	// The records are durable now, so the ledger takes their ε before
+	// anything below can fail: the store would not ship them again.
+	var spends []store.Event
+	for _, e := range applied {
+		if e.Kind == store.EventDebit || e.Kind == store.EventRefund {
+			spends = append(spends, e)
+		}
+	}
+	s.ledger.Replay(ledgerHistory(spends))
 	var out []RestoredRelease
 	for _, e := range applied {
 		if e.Kind != store.EventCommit {
@@ -239,7 +250,6 @@ func (s *Session) ApplyReplicated(frames []byte) ([]RestoredRelease, error) {
 		s.restoredList = append(s.restoredList, rr)
 		out = append(out, rr)
 	}
-	s.ledger.Restore(ledgerHistory(s.store.Events()))
 	return out, nil
 }
 

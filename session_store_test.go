@@ -2,9 +2,11 @@ package privtree
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"privtree/internal/dp"
@@ -267,5 +269,82 @@ func TestSessionStoreCompaction(t *testing.T) {
 	}
 	if n := len(s2.History()); n != 3 {
 		t.Fatalf("audit trail has %d entries after compaction, want 3", n)
+	}
+}
+
+// TestApplyReplicatedReplaysLedgerIncrementally ships a primary's WAL to
+// a replica session one frame per pull and, after every pull, holds the
+// replica's spent ε and audit trail to a full Restore of the replica
+// store's events: replaying only each pull's new debits and refunds must
+// give bit-identical arithmetic. The spends are fractions whose running
+// sum rounds, and a failed build adds a refund.
+func TestApplyReplicatedReplaysLedgerIncrementally(t *testing.T) {
+	data, err := NewSpatialData(UnitCube(2), sessionStorePoints(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := OpenSession(filepath.Join(t.TempDir(), "primary"), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	for i, eps := range []float64{0.1, 0.2, 0.3, 0.7, 1.1} {
+		m, err := NewSpatialMechanism(SpatialOptions{Seed: uint64(i + 1), Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := primary.Release(m, data, eps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad, err := NewSpatialMechanism(SpatialOptions{Seed: 9, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := primary.Release(bad, data, 0.3); err == nil {
+		t.Fatal("unrealizable fanout built")
+	}
+
+	replica, err := OpenSession(filepath.Join(t.TempDir(), "replica"), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	for _, c := range primary.store.Commits() {
+		blob, err := primary.store.LoadArtifact(c.SHA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.store.PutArtifact(hex.EncodeToString(c.SHA[:]), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pulls := 0
+	for replica.store.LastSeq() < primary.store.LastSeq() {
+		frames, _, err := primary.store.FramesSince(replica.store.LastSeq(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := replica.ApplyReplicated(frames); err != nil {
+			t.Fatal(err)
+		}
+		pulls++
+		full, err := dp.NewLedger(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.Restore(ledgerHistory(replica.store.Events()))
+		if got, want := replica.Spent(), full.Spent(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pull %d: spent %v, a full replay gives %v", pulls, got, want)
+		}
+		if got, want := replica.History(), full.History(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pull %d: history %+v, a full replay gives %+v", pulls, got, want)
+		}
+	}
+	if pulls < 10 {
+		t.Fatalf("caught up in %d pulls, want one per frame", pulls)
+	}
+	if got, want := replica.Spent(), primary.Spent(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("replica spent %v, primary %v", got, want)
 	}
 }
