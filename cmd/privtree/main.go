@@ -230,9 +230,7 @@ func runInspect(paths []string) error {
 			fmt.Printf("  epsilon:       (not recorded)\n")
 		}
 		fmt.Printf("  seed:          %d\n", info.Seed)
-		if info.Version > 0 {
-			fmt.Printf("  fingerprint:   %s\n", info.Fingerprint)
-		}
+		fmt.Printf("  fingerprint:   %s\n", info.Fingerprint)
 		fmt.Printf("  payload_bytes: %d\n", info.PayloadBytes)
 	}
 	if failed > 0 {

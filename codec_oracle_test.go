@@ -1,6 +1,7 @@
 package privtree
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -17,11 +18,12 @@ import (
 // the hostile-input table probes it from both sides.
 const maxWireDepth = wire.MaxDepth
 
-// This file keeps the reflection codec the artifact codec replaced, as
-// the oracle the differential tests hold the new one to: encoding/json
-// over nested wire structs, for both payload kinds and the envelope. The
-// new writer must produce its bytes exactly, and the new reader must
-// accept and reject the same documents and decode the same trees.
+// This file keeps reflection codecs as the oracle the differential tests
+// hold the artifact codec to: encoding/json over plain wire structs, for
+// both payload kinds (the spatial one in both versions) and the
+// envelope. The writer must produce the oracle's bytes exactly, and the
+// reader must accept and reject the same documents and decode the same
+// trees.
 
 type oracleTreeJSON struct {
 	Version int            `json:"version"`
@@ -36,7 +38,130 @@ type oracleNodeJSON struct {
 	Children []oracleNodeJSON `json:"children,omitempty"`
 }
 
+// oracleTreeV2JSON is the version-2 spatial payload as a plain struct:
+// encoding/json writes Shape as padded standard base64.
+type oracleTreeV2JSON struct {
+	Version int       `json:"version"`
+	Fanout  int       `json:"fanout"`
+	Lo      []float64 `json:"lo"`
+	Hi      []float64 `json:"hi"`
+	Nodes   int       `json:"nodes"`
+	Shape   []byte    `json:"shape"`
+	Counts  []float64 `json:"counts"`
+}
+
+// oracleMarshalSpatial writes the version-2 payload: a recursive
+// pre-order walk sets one shape bit per split node, collects the leaf
+// counts, and refuses a tree whose child regions are not the splitter's.
 func oracleMarshalSpatial(tree *core.Tree) ([]byte, error) {
+	root := tree.Root().Region()
+	split, err := spatialDomain(root, tree.Fanout)
+	if err != nil {
+		return nil, err
+	}
+	out := oracleTreeV2JSON{Version: 2, Fanout: tree.Fanout, Lo: root.Lo, Hi: root.Hi,
+		Nodes: tree.Size(), Shape: make([]byte, (tree.Size()+7)/8), Counts: []float64{}}
+	bit := 0
+	var walk func(n core.NodeRef) error
+	walk = func(n core.NodeRef) error {
+		i := bit
+		bit++
+		if n.IsLeaf() {
+			out.Counts = append(out.Counts, n.Count())
+			return nil
+		}
+		out.Shape[i/8] |= 1 << (i % 8)
+		kids := split.Split(n.Region(), n.Depth())
+		if n.NumChildren() != len(kids) {
+			return fmt.Errorf("node has %d children, fanout is %d", n.NumChildren(), len(kids))
+		}
+		for c := range kids {
+			child := n.Child(c)
+			for k := range kids[c].Lo {
+				r := child.Region()
+				if math.Float64bits(r.Lo[k]) != math.Float64bits(kids[c].Lo[k]) ||
+					math.Float64bits(r.Hi[k]) != math.Float64bits(kids[c].Hi[k]) {
+					return fmt.Errorf("child region is not the split of its parent's")
+				}
+			}
+			if err := walk(child); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(tree.Root()); err != nil {
+		return nil, err
+	}
+	return json.Marshal(out)
+}
+
+// oracleUnmarshalSpatialV2 reads a version-2 payload: whatever
+// encoding/json decodes into the plain struct, provided json.Marshal of
+// that struct gives back exactly the input value (the whitespace around
+// it is not part of it: json.Unmarshal hands an UnmarshalJSON method the
+// value without it), with a recursive pre-order walk of the shape bits
+// building the arena.
+func oracleUnmarshalSpatialV2(data []byte) (*core.Tree, error) {
+	var wire oracleTreeV2JSON
+	if err := json.Unmarshal(data, &wire); err != nil {
+		return nil, err
+	}
+	if canon, err := json.Marshal(wire); err != nil || !bytes.Equal(canon, bytes.TrimSpace(data)) {
+		return nil, fmt.Errorf("not the canonical encoding")
+	}
+	domain := geom.Rect{Lo: wire.Lo, Hi: wire.Hi}
+	split, err := spatialDomain(domain, wire.Fanout)
+	if err != nil {
+		return nil, err
+	}
+	n := wire.Nodes
+	if !spatialV2Fits(n, len(wire.Lo), wire.Fanout, len(data)) || len(wire.Shape) != (n+7)/8 {
+		return nil, fmt.Errorf("node count does not fit the input")
+	}
+	b := core.NewBuilder(wire.Fanout, n)
+	b.AddRoot(domain)
+	bit, leaf := 0, 0
+	var walk func(idx int32) error
+	walk = func(idx int32) error {
+		if bit == n {
+			return fmt.Errorf("shape ends early")
+		}
+		split1 := wire.Shape[bit/8]>>(bit%8)&1 == 1
+		bit++
+		if !split1 {
+			if leaf == len(wire.Counts) {
+				return fmt.Errorf("too few counts")
+			}
+			b.SetCount(idx, wire.Counts[leaf])
+			leaf++
+			return nil
+		}
+		if b.Len()+wire.Fanout > n {
+			return fmt.Errorf("shape describes more than %d nodes", n)
+		}
+		first := b.AddChildren(idx, split.Split(b.Region(idx), int(b.Node(idx).Depth)))
+		for c := 0; c < wire.Fanout; c++ {
+			if err := walk(first + int32(c)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(0); err != nil {
+		return nil, err
+	}
+	if bit != n || leaf != len(wire.Counts) || n%8 != 0 && wire.Shape[n/8]>>(n%8) != 0 {
+		return nil, fmt.Errorf("shape and counts do not describe one tree")
+	}
+	tree := b.Build(true)
+	tree.SumInternalCounts()
+	return tree, nil
+}
+
+// oracleMarshalSpatialV1 writes the version-1 payload, every node's
+// region, which the library no longer writes but still reads.
+func oracleMarshalSpatialV1(tree *core.Tree) ([]byte, error) {
 	var conv func(n core.NodeRef) oracleNodeJSON
 	conv = func(n core.NodeRef) oracleNodeJSON {
 		region := n.Region()
@@ -55,13 +180,29 @@ func oracleMarshalSpatial(tree *core.Tree) ([]byte, error) {
 	return json.Marshal(oracleTreeJSON{Version: 1, Fanout: tree.Fanout, Root: conv(tree.Root())})
 }
 
+// oracleUnmarshalSpatial reads a spatial payload of either version: one
+// that opens as a version-2 payload must be one; otherwise the "version"
+// key, as encoding/json reads it, must say 1.
 func oracleUnmarshalSpatial(data []byte) (*core.Tree, error) {
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte(`{"version":2,`)) {
+		return oracleUnmarshalSpatialV2(data)
+	}
+	var probe struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return nil, err
+	}
+	if probe.Version != 1 {
+		return nil, fmt.Errorf("unsupported tree version %d", probe.Version)
+	}
+	return oracleUnmarshalSpatialV1(data)
+}
+
+func oracleUnmarshalSpatialV1(data []byte) (*core.Tree, error) {
 	var wire oracleTreeJSON
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return nil, err
-	}
-	if wire.Version != 1 {
-		return nil, fmt.Errorf("unsupported tree version %d", wire.Version)
 	}
 	if wire.Fanout < 2 || wire.Fanout > maxWireFanout {
 		return nil, fmt.Errorf("unusable fanout %d", wire.Fanout)
@@ -261,12 +402,6 @@ type oracleProbe struct {
 	Epsilon   float64         `json:"epsilon"`
 	Params    *Params         `json:"params"`
 	Payload   json.RawMessage `json:"payload"`
-
-	Alphabet   *int            `json:"alphabet"`
-	Fanout     *int            `json:"fanout"`
-	Numeric    json.RawMessage `json:"numeric"`
-	Taxonomies json.RawMessage `json:"taxonomies"`
-	Root       json.RawMessage `json:"root"`
 }
 
 func oracleDecodePayload(kind ReleaseKind, data []byte) (*Release, error) {
@@ -302,15 +437,7 @@ func oracleDecode(data []byte) (*Release, error) {
 		return nil, err
 	}
 	if probe.Envelope == nil {
-		switch {
-		case probe.Alphabet != nil && probe.Root != nil:
-			return oracleDecodePayload(KindSequence, data)
-		case probe.Fanout != nil && probe.Root != nil:
-			return oracleDecodePayload(KindSpatial, data)
-		case probe.Numeric != nil || probe.Taxonomies != nil:
-			return oracleDecodePayload(KindHybrid, data)
-		}
-		return nil, fmt.Errorf("not a release document")
+		return nil, fmt.Errorf("not a release envelope")
 	}
 	if *probe.Envelope != EnvelopeVersion {
 		return nil, fmt.Errorf("unsupported release envelope version %d", *probe.Envelope)
@@ -351,18 +478,7 @@ func oracleInspect(data []byte) (*EnvelopeInfo, error) {
 		return nil, err
 	}
 	if probe.Envelope == nil {
-		info := &EnvelopeInfo{PayloadBytes: len(data)}
-		switch {
-		case probe.Alphabet != nil && probe.Root != nil:
-			info.Kind = KindSequence
-		case probe.Fanout != nil && probe.Root != nil:
-			info.Kind = KindSpatial
-		case probe.Numeric != nil || probe.Taxonomies != nil:
-			info.Kind = KindHybrid
-		default:
-			return nil, fmt.Errorf("not a release document")
-		}
-		return info, nil
+		return nil, fmt.Errorf("not a release envelope")
 	}
 	if *probe.Envelope != EnvelopeVersion {
 		return nil, fmt.Errorf("unsupported release envelope version %d", *probe.Envelope)

@@ -2,6 +2,7 @@ package privtree
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,21 +38,30 @@ func pickFloat(rng *rand.Rand) float64 {
 	return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(40)-20))
 }
 
-// randomSpatialTree builds an arena of random shape whose regions and
-// counts are drawn from the edge floats — the writer must format them
-// whether or not they would pass the reader's validation.
+// randomSpatialTree builds an arena of random shape over a domain drawn
+// from the edge floats, its regions derived by the splitter as a build
+// derives them, and counts drawn from the edge floats too: the writer
+// must format them whether or not they would pass the reader's
+// validation. About one domain in eight is inverted on an axis, and some
+// edge-float domains are wider than a float64 holds; no payload can carry
+// those, and the writer must refuse them as the oracle does.
 func randomSpatialTree(rng *rand.Rand) *core.Tree {
 	d := 1 + rng.IntN(3)
-	fanout := 2 + rng.IntN(3)
-	rect := func() geom.Rect {
-		r := geom.Rect{Lo: make([]float64, d), Hi: make([]float64, d)}
-		for k := 0; k < d; k++ {
-			r.Lo[k], r.Hi[k] = pickFloat(rng), pickFloat(rng)
+	fanout := 1 << (1 + rng.IntN(d))
+	root := geom.Rect{Lo: make([]float64, d), Hi: make([]float64, d)}
+	for k := 0; k < d; k++ {
+		lo, hi := pickFloat(rng), pickFloat(rng)
+		if lo > hi && rng.IntN(4) != 0 {
+			lo, hi = hi, lo
 		}
-		return r
+		root.Lo[k], root.Hi[k] = lo, hi
+	}
+	split, err := spatialSplitter(d, fanout)
+	if err != nil {
+		panic(err)
 	}
 	b := core.NewBuilder(fanout, 16)
-	b.AddRoot(rect())
+	b.AddRoot(root)
 	frontier := []int32{0}
 	for len(frontier) > 0 && b.Len() < 200 {
 		idx := frontier[0]
@@ -58,11 +69,7 @@ func randomSpatialTree(rng *rand.Rand) *core.Tree {
 		if rng.IntN(3) == 0 {
 			continue
 		}
-		regions := make([]geom.Rect, fanout)
-		for i := range regions {
-			regions[i] = rect()
-		}
-		first := b.AddChildren(idx, regions)
+		first := b.AddChildren(idx, split.Split(b.Region(idx), int(b.Node(idx).Depth)))
 		for i := 0; i < fanout; i++ {
 			frontier = append(frontier, first+int32(i))
 		}
@@ -212,7 +219,7 @@ func TestCodecWriterRejectsNonFinite(t *testing.T) {
 // knownWireKeys are every key the envelope and payload readers look up.
 var knownWireKeys = []string{
 	"privtree_release", "kind", "mechanism", "epsilon", "params", "payload",
-	"alphabet", "fanout", "numeric", "taxonomies", "root",
+	"alphabet", "fanout", "root", "nodes", "shape", "counts",
 	"version", "ltop", "hist", "lo", "hi", "count", "children",
 }
 
@@ -384,18 +391,39 @@ func FuzzEnvelopeDecodeDifferential(f *testing.F) {
 }
 
 // TestSpatialDecodeWideRootAllocationBounded feeds payloads whose root
-// has many dimensions and many empty child objects. They must be
-// rejected with an error, allocating in proportion to the input: the
-// wire table counts every child entry, so pre-sizing the coordinate slab
-// from it would reserve 2·d floats per rejected entry (128 MB here, and
-// a fatal out-of-memory at sizes a 1 MB document reaches).
+// has many dimensions. They must be rejected with an error, allocating in
+// proportion to the input. In version 1 the root has many empty child
+// objects: the wire table counts every child entry, so pre-sizing the
+// coordinate slab from it would reserve 2·d floats per rejected entry
+// (128 MB here, and a fatal out-of-memory at sizes a 1 MB document
+// reaches). In version 2 a few bytes of shape describe a node whose 2·d
+// coordinates the reader derives, so the declared node count is what
+// must be checked: a caterpillar of 8001 well-formed nodes at fanout 2
+// would derive 256 MB of coordinates, and a count the shape does not
+// back must fail before anything is reserved for it.
 func TestSpatialDecodeWideRootAllocationBounded(t *testing.T) {
 	const d, kids = 2000, 4000
 	axis := func(v string) string { return "[" + strings.TrimSuffix(strings.Repeat(v+",", d), ",") + "]" }
 	children := strings.TrimSuffix(strings.Repeat("{},", kids), ",")
+	var payloads []string
 	for _, fanout := range []string{"2", "4000"} {
-		payload := `{"version":1,"fanout":` + fanout + `,"root":{"lo":` + axis("0") + `,"hi":` + axis("1") +
-			`,"children":[` + children + `]}}`
+		payloads = append(payloads, `{"version":1,"fanout":`+fanout+`,"root":{"lo":`+axis("0")+`,"hi":`+axis("1")+
+			`,"children":[`+children+`]}}`)
+	}
+	// Pre-order bits 1,0 per split node down the caterpillar, then the
+	// last leaf: kids split nodes and kids+1 leaves.
+	n := 2*kids + 1
+	shape := make([]byte, (n+7)/8)
+	for i := 0; i < 2*kids; i += 2 {
+		shape[i/8] |= 1 << (i % 8)
+	}
+	v2 := func(nodes int, shape []byte) string {
+		return `{"version":2,"fanout":2,"lo":` + axis("0") + `,"hi":` + axis("1") + `,"nodes":` + strconv.Itoa(nodes) +
+			`,"shape":"` + base64.StdEncoding.EncodeToString(shape) + `","counts":[` + strings.Repeat("0,", kids) + `0]}`
+	}
+	payloads = append(payloads, v2(n, shape), v2(1<<30, shape), v2(n, make([]byte, 1<<20)))
+	for i, payload := range payloads {
+		fanout := strconv.Itoa(i)
 		envelope := `{"privtree_release":1,"kind":"spatial","payload":` + payload + `}`
 		decoders := map[string]func() error{
 			"UnmarshalJSON": func() error { return new(SpatialTree).UnmarshalJSON([]byte(payload)) },
@@ -407,10 +435,10 @@ func TestSpatialDecodeWideRootAllocationBounded(t *testing.T) {
 			err := decode()
 			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Fatalf("fanout %s, %s: accepted a root with %d empty children", fanout, name, kids)
+				t.Fatalf("payload %s, %s: accepted a wide root", fanout, name)
 			}
 			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(envelope)); got > limit {
-				t.Errorf("fanout %s, %s: allocated %d bytes for a %d-byte input (limit %d)", fanout, name, got, len(envelope), limit)
+				t.Errorf("payload %s, %s: allocated %d bytes for a %d-byte input (limit %d)", fanout, name, got, len(envelope), limit)
 			}
 		}
 	}
@@ -419,12 +447,51 @@ func TestSpatialDecodeWideRootAllocationBounded(t *testing.T) {
 // TestCodecReaderAgreesOnHostileInputs runs the differential check over
 // hand-picked documents for the JSON corners a reader gets wrong: the
 // number grammar, integer fields, nesting depth, trailing bytes, and
-// repeated keys.
+// repeated keys, and for version-2 payloads every way a document can
+// differ from the writer's bytes or describe no tree.
 func TestCodecReaderAgreesOnHostileInputs(t *testing.T) {
 	leaf := func(count string) string {
 		return `{"version":1,"fanout":2,"root":{"lo":[0],"hi":[1],"count":` + count + `}}`
 	}
+	// v2 is a version-2 payload over [0,1) in one dimension; shape "AQ=="
+	// is bits 1,0,0: a split root and two leaves.
+	v2 := func(fanout, lo, hi, nodes, shape, counts string) string {
+		return `{"version":2,"fanout":` + fanout + `,"lo":` + lo + `,"hi":` + hi + `,"nodes":` + nodes +
+			`,"shape":"` + shape + `","counts":` + counts + `}`
+	}
+	split := v2("2", "[0]", "[1]", "3", "AQ==", "[1.5,-2]")
 	docs := []string{
+		split, v2("2", "[0]", "[1]", "1", "AA==", "[7]"), v2("4", "[0,0]", "[1,1]", "1", "AA==", "[7]"),
+		v2("2", "[0,0]", "[1,1]", "3", "AQ==", "[1,2]"), v2("4", "[0,0]", "[1,1]", "5", "AQ==", "[1,2,3,4]"),
+		v2("2", "[0]", "[0]", "3", "AQ==", "[1,2]"), v2("2", "[-1e308]", "[1e308]", "3", "AQ==", "[1,2]"),
+		v2("2", "[-1e308]", "[1e308]", "1", "AA==", "[1]"), v2("4", "[0]", "[1]", "5", "AQ==", "[1,2,3,4]"),
+		v2("3", "[0,0]", "[1,1]", "4", "AQ==", "[1,2,3]"), v2("1", "[0]", "[1]", "1", "AA==", "[1]"),
+		v2("2", "[1]", "[0]", "3", "AQ==", "[1,2]"), v2("2", "[0]", "[1,1]", "3", "AQ==", "[1,2]"),
+		v2("2", "[]", "[]", "1", "AA==", "[1]"), v2("2", "[0]", "[1]", "3", "AQ==", "[1]"),
+		v2("2", "[0]", "[1]", "3", "AQ==", "[1,2,3]"), v2("2", "[0]", "[1]", "3", "AB==", "[1,2]"),
+		v2("2", "[0]", "[1]", "3", "CQ==", "[1,2]"), v2("2", "[0]", "[1]", "3", "Aw==", "[1,2]"),
+		v2("2", "[0]", "[1]", "2", "AQ==", "[1,2]"), v2("2", "[0]", "[1]", "4", "AQ==", "[1,2]"),
+		v2("2", "[0]", "[1]", "9", "AQ==", "[1,2]"), v2("2", "[0]", "[1]", "0", "", "[]"),
+		v2("2", "[0]", "[1]", "-1", "", "[1]"), v2("2", "[0]", "[1]", "3", "AQ=", "[1,2]"),
+		v2("2", "[0]", "[1]", "3", "AQ", "[1,2]"), v2("2", "[0]", "[1]", "3", "AQ==", "[1.0,2]"),
+		v2("2", "[0]", "[1]", "3", "AQ==", "[1,2e0]"), v2("2", "[0]", "[1]", "3", "AQ==", "[1,-0]"),
+		v2("2", "[0]", "[1]", "3", "AQ==", "[1,1e-7]"), v2("2", "[0]", "[1]", "3", "AQ==", "[1,1e-07]"),
+		v2("2", "[0]", "[1]", "3", "AQ==", "[1,+2]"), v2("2", "[0]", "[1]", "3", "AQ==", "[1,2 ]"),
+		v2("2", "[0]", "[1]", "3", "AQ==", "[1,1e400]"), v2("2", "[0]", "[1]", "3", "AQ==", "[1,0x10]"),
+		v2("2", "[0]", "[1]", "3", "AQ==", "[1,null]"), v2("2", "[0.0]", "[1]", "3", "AQ==", "[1,2]"),
+		v2("02", "[0]", "[1]", "3", "AQ==", "[1,2]"), v2("2", "[0]", "[1]", "03", "AQ==", "[1,2]"),
+		v2("2", "[0]", "[1]", "3.0", "AQ==", "[1,2]"), v2("2", "[0]", "[1]", "3", `AQ==`, "[1,2]"),
+		v2("2", "[0]", "[1]", "3", "AQ==", "null"), v2("2", "null", "[1]", "3", "AQ==", "[1,2]"),
+		split + " ", " " + split, strings.Replace(split, `"fanout"`, `"Fanout"`, 1),
+		strings.Replace(split, `,"nodes"`, ` ,"nodes"`, 1), strings.Replace(split, `}`, `,"root":{}}`, 1),
+		strings.Replace(split, `}`, `,"version":1,"fanout":2,"root":{"lo":[0],"hi":[1],"count":4}}`, 1),
+		strings.Replace(split, `}`, `,"version":2}`, 1), strings.Replace(split, `}`, `,"version":3}`, 1),
+		strings.Replace(split, `"version":2`, `"version":3`, 1), strings.Replace(split, `"version":2`, `"version":1`, 1),
+		`{"version":1,"fanout":2,"root":{"lo":[0],"hi":[1],"count":1},"version":2}`,
+		`{"fanout":2,"version":2,"lo":[0],"hi":[1],"nodes":1,"shape":"AA==","counts":[1]}`,
+		`{"privtree_release":1,"kind":"spatial","payload":` + split + `}`,
+		`{"privtree_release":1,"kind":"spatial","payload": ` + split + ` }`,
+		`{"privtree_release":1,"kind":"spatial","mechanism":"spatial","params":{"fanout":2},"payload":` + split + `}`,
 		leaf("+1"), leaf(".5"), leaf("NaN"), leaf("Infinity"), leaf("0x1p3"), leaf("1e400"),
 		leaf("-1e400"), leaf("1e-400"), leaf("01"), leaf("1."), leaf("1e"), leaf("-"), leaf("1.5e+3"),
 		leaf(`"1"`), leaf("true"), leaf("[1]"), leaf("{}"), leaf("null"), leaf("1") + "x", leaf("1") + " \n",
@@ -481,32 +548,35 @@ func TestCodecReaderAgreesOnHostileInputs(t *testing.T) {
 		if (err == nil) != (wantErr == nil) || err == nil && !sameRelease(rel, want) {
 			t.Errorf("Decode(%.120s): error %v, oracle error %v", doc, err, wantErr)
 		}
-		if err == nil {
-			accepted++
-		}
+		ok := err == nil
 		var tree SpatialTree
 		err = json.Unmarshal(data, &tree)
 		wantTree, wantErr := oracleUnmarshalSpatial(data)
 		if (err == nil) != (wantErr == nil) || err == nil && !core.Equal(tree.tree, wantTree) {
 			t.Errorf("SpatialTree(%.120s): error %v, oracle error %v", doc, err, wantErr)
 		}
+		ok = ok || err == nil
 		var m SequenceModel
 		err = json.Unmarshal(data, &m)
 		wantModel, wantErr := oracleUnmarshalSequence(data)
 		if (err == nil) != (wantErr == nil) || err == nil && !pst.Equal(&m.model.Tree, &wantModel.model.Tree) {
 			t.Errorf("SequenceModel(%.120s): error %v, oracle error %v", doc, err, wantErr)
 		}
+		if ok || err == nil {
+			accepted++
+		}
 		// The payload readers are also reachable without encoding/json's
-		// own validation pass in front of them.
+		// own validation pass in front of them, which would also strip the
+		// whitespace around the value; a version-2 reader takes none.
 		err = new(SpatialTree).UnmarshalJSON(data)
-		if (err == nil) != (wantTree != nil) && json.Valid(data) {
+		if (err == nil) != (wantTree != nil) && json.Valid(data) && len(bytes.TrimSpace(data)) == len(data) {
 			t.Errorf("SpatialTree.UnmarshalJSON(%.120s): error %v, oracle accepted %v", doc, err, wantTree != nil)
 		}
 		if !json.Valid(data) && err == nil {
 			t.Errorf("SpatialTree.UnmarshalJSON(%.120s) accepted invalid JSON", doc)
 		}
 	}
-	if accepted < 10 {
+	if accepted < 20 {
 		t.Errorf("only %d of the documents decode; the agreement check is mostly vacuous", accepted)
 	}
 }

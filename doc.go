@@ -51,16 +51,18 @@
 //
 // On the wire, every serializable release travels in one versioned,
 // self-describing envelope ({"privtree_release": 1, "kind": ..., ...});
-// Decode is the single entry point, and it still loads the legacy
-// per-type v0 documents through compat shims. Spatial and sequence
+// Decode is the single entry point, and a bare payload without the
+// envelope is not a release. A spatial payload (version 2) carries the
+// domain, one pre-order bit per node and the leaf counts; every region
+// is rebuilt with the splitter the build used, and version-1 payloads,
+// which wrote every region, are still read. Spatial and sequence
 // envelopes go through a hand-written codec that works on the flat
 // arenas directly, on top of internal/wire, the JSON scanner and float
 // writer privtreed's request bodies share: the writer emits exactly the
-// bytes encoding/json did (same key order, same float formatting), and
-// the reader accepts what encoding/json accepts — any whitespace and key
-// order, unknown and repeated keys, null, nesting up to 10,000 levels —
-// except that keys match in their exact case only. Hybrid payloads still
-// use encoding/json.
+// bytes encoding/json writes for the same document, and the readers
+// accept what encoding/json accepts, except that keys match in their
+// exact case only and a version-2 spatial payload must be exactly the
+// writer's bytes. Hybrid payloads still use encoding/json.
 //
 // The SVT analysis of Section 5 lives in the same module for side-by-side
 // comparison; the experiment runners that regenerate every figure and

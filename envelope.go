@@ -21,13 +21,15 @@ import (
 //	  "payload": { ... }               // the kind-specific artifact document
 //	}
 //
-// Decode is the single entry point: it dispatches on "kind", and keeps
-// loading the legacy per-type v0 documents (a bare SpatialTree,
-// SequenceModel, or HybridTree JSON document with no envelope) through
-// compat shims, so artifacts archived before the envelope existed remain
-// readable. The payload documents themselves are unchanged — an envelope
-// wraps exactly the bytes the per-type (Un)MarshalJSON implementations
-// produce, so the ε-DP guarantee of the payload carries over verbatim.
+// Decode is the single entry point: it dispatches on "kind", and the
+// payload reader of that kind dispatches on the payload's own "version"
+// (serialize.go: spatial payloads are written in version 2, domain,
+// shape bits and leaf counts, and version 1, every node's region, is
+// still read). An envelope wraps exactly the bytes the per-type
+// (Un)MarshalJSON implementations produce, so the ε-DP guarantee of the
+// payload carries over verbatim. A bare payload document without an
+// envelope is not a release and is rejected; the per-type UnmarshalJSON
+// methods still read one.
 
 // EnvelopeVersion is the wire-envelope version this library writes.
 const EnvelopeVersion = 1
@@ -51,7 +53,11 @@ func (r *Release) encodeEnvelope() ([]byte, error) {
 	if r.spatial == nil && r.model == nil && r.hybrid == nil {
 		return nil, fmt.Errorf("privtree: %s release has no wire format", r.kind)
 	}
-	b := append(make([]byte, 0, 256), `{"privtree_release":`...)
+	size := 256
+	if r.spatial != nil {
+		size += spatialPayloadCap(r.spatial.tree)
+	}
+	b := append(make([]byte, 0, size), `{"privtree_release":`...)
 	b = strconv.AppendInt(b, EnvelopeVersion, 10)
 	// Kinds and mechanism names are registry identifiers (Decode rejects
 	// any other), plain ASCII that JSON quotes without escapes.
@@ -74,7 +80,7 @@ func (r *Release) encodeEnvelope() ([]byte, error) {
 	b = append(append(append(b, `,"params":`...), params...), `,"payload":`...)
 	switch {
 	case r.spatial != nil:
-		b, err = appendSpatialPayload(b, r.spatial.tree)
+		b, err = appendSpatialPayload(b, r.spatial)
 	case r.model != nil:
 		b, err = appendSequencePayload(b, r.model)
 	default:
@@ -92,7 +98,7 @@ func (r *Release) encodeEnvelope() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Release via Decode, so
-// envelopes (and legacy v0 documents) load with plain json.Unmarshal too.
+// envelopes load with plain json.Unmarshal too.
 // The receiver is left untouched on failure. (Fields are copied one by
 // one: the receiver's envelope cache is an atomic and must not be copied
 // as a value.)
@@ -116,7 +122,7 @@ func (r *Release) UnmarshalJSON(data []byte) error {
 // readable without decoding (or validating) the payload — see
 // InspectEnvelope.
 type EnvelopeInfo struct {
-	// Version is the envelope version (0 for legacy bare documents).
+	// Version is the envelope version.
 	Version int
 	// Kind is the artifact family the document carries.
 	Kind ReleaseKind
@@ -138,9 +144,8 @@ type EnvelopeInfo struct {
 }
 
 // envelopeHeader is one scan of a serialized release's top-level
-// object: the envelope fields, the raw payload, and the legacy v0
-// discriminator keys. Field by field it holds what encoding/json would
-// decode into
+// object: the envelope fields and the raw payload. Field by field it
+// holds what encoding/json would decode into
 //
 //	struct {
 //		Envelope  *int            `json:"privtree_release"`
@@ -149,8 +154,6 @@ type EnvelopeInfo struct {
 //		Epsilon   float64         `json:"epsilon"`
 //		Params    *Params         `json:"params"`
 //		Payload   json.RawMessage `json:"payload"`
-//		Alphabet, Fanout *int                 // v0 sequence, spatial
-//		Numeric, Taxonomies, Root json.RawMessage // v0 hybrid, any tree
 //	}
 //
 // keys matched in exact case only.
@@ -162,12 +165,11 @@ type envelopeHeader struct {
 	epsilon   float64
 	params    Params
 	payload   []byte // the payload value's bytes; nil when absent
-
-	alphabet, fanout, numeric, taxonomies, root bool
 }
 
 // readEnvelopeHeader scans a serialized release once, checking the
-// payload's syntax but not decoding it.
+// payload's syntax but not decoding it, and screens the provenance fields
+// (see check).
 func readEnvelopeHeader(data []byte) (*envelopeHeader, error) {
 	h := &envelopeHeader{}
 	r := wire.NewReader(data)
@@ -203,34 +205,29 @@ func readEnvelopeHeader(data []byte) (*envelopeHeader, error) {
 		case "payload":
 			h.payload, err = r.Raw()
 			return err
-		case "alphabet":
-			_, null, err := r.Int()
-			h.alphabet = !null
-			return err
-		case "fanout":
-			_, null, err := r.Int()
-			h.fanout = !null
-			return err
-		case "numeric":
-			h.numeric = true
-		case "taxonomies":
-			h.taxonomies = true
-		case "root":
-			h.root = true
 		}
 		return r.Skip()
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = r.End()
 	}
-	return h, r.End()
+	if err == nil {
+		err = h.check()
+	}
+	if err != nil {
+		return nil, newerVersion("release envelope", "privtree_release", data, EnvelopeVersion, err)
+	}
+	return h, nil
 }
 
 // check applies the provenance screening Decode and InspectEnvelope
-// share to a versioned envelope: a supported version, a payload, a
-// plausible ε (0 = not recorded), a known kind, and a registered
-// mechanism that produces this kind.
+// share: an envelope of a supported version, a payload, a plausible ε
+// (0 = not recorded), a known kind, and a registered mechanism that
+// produces this kind.
 func (h *envelopeHeader) check() error {
+	if !h.versioned {
+		return fmt.Errorf(`privtree: not a release envelope (no "privtree_release" version); bare payload documents are no longer read as releases`)
+	}
 	if h.version != EnvelopeVersion {
 		return fmt.Errorf("privtree: unsupported release envelope version %d", h.version)
 	}
@@ -258,39 +255,15 @@ func (h *envelopeHeader) check() error {
 	return nil
 }
 
-// v0Kind identifies a legacy bare document from its shape.
-func (h *envelopeHeader) v0Kind() (ReleaseKind, error) {
-	switch {
-	case h.alphabet && h.root:
-		return KindSequence, nil
-	case h.fanout && h.root:
-		return KindSpatial, nil
-	case h.numeric || h.taxonomies:
-		return KindHybrid, nil
-	}
-	return "", fmt.Errorf("privtree: not a release document (no envelope and no recognizable v0 shape)")
-}
-
 // InspectEnvelope reads a serialized release's provenance — kind,
 // mechanism, ε, seed, params fingerprint — WITHOUT decoding the payload:
 // inspecting a multi-megabyte artifact costs one metadata parse, and a
-// payload too corrupt for Decode can still be identified. It accepts
-// both versioned envelopes and legacy v0 documents (which carry no
-// provenance and report Version 0). The provenance fields get the same
-// plausibility screening as Decode; the payload gets none.
+// payload too corrupt for Decode can still be identified. The
+// provenance fields get the same plausibility screening as Decode; the
+// payload gets none.
 func InspectEnvelope(data []byte) (*EnvelopeInfo, error) {
 	h, err := readEnvelopeHeader(data)
 	if err != nil {
-		return nil, err
-	}
-	if !h.versioned {
-		kind, err := h.v0Kind()
-		if err != nil {
-			return nil, err
-		}
-		return &EnvelopeInfo{Version: 0, Kind: kind, PayloadBytes: len(data)}, nil
-	}
-	if err := h.check(); err != nil {
 		return nil, err
 	}
 	return &EnvelopeInfo{
@@ -305,32 +278,15 @@ func InspectEnvelope(data []byte) (*EnvelopeInfo, error) {
 	}, nil
 }
 
-// Decode loads a serialized release: either a versioned envelope (see
-// EnvelopeVersion) or one of the legacy v0 per-type documents, which are
-// recognized by their distinguishing keys — "alphabet"+"root" (sequence),
-// "fanout"+"root" (spatial), "numeric"/"taxonomies" (hybrid). The payload
-// is fully validated by the kind-specific decoder before a Release is
-// handed back.
-//
-// Releases decoded from v0 documents carry no mechanism name and ε = 0:
-// the legacy formats never recorded them.
+// Decode loads a serialized release envelope (see EnvelopeVersion). The
+// provenance fields are validated like everything else on the wire — a
+// forged envelope must not smuggle provenance no mechanism could have
+// produced — and the payload is fully validated by the kind-specific
+// decoder before a Release is handed back. A bare payload document, with
+// no envelope around it, is rejected.
 func Decode(data []byte) (*Release, error) {
 	h, err := readEnvelopeHeader(data)
 	if err != nil {
-		return nil, err
-	}
-	if !h.versioned {
-		// Legacy v0 compat shim: the whole document is the payload.
-		kind, err := h.v0Kind()
-		if err != nil {
-			return nil, err
-		}
-		return decodePayload(&Release{kind: kind}, data)
-	}
-	// The provenance fields are validated like everything else on the
-	// wire: a forged envelope must not smuggle provenance no mechanism
-	// could have produced.
-	if err := h.check(); err != nil {
 		return nil, err
 	}
 	rel := &Release{kind: h.kind, mechanism: h.mechanism, epsilon: h.epsilon, params: h.params}
@@ -342,8 +298,7 @@ func Decode(data []byte) (*Release, error) {
 	return decodePayload(rel, h.payload)
 }
 
-// decodePayload decodes a standalone payload document of rel's kind into
-// rel.
+// decodePayload decodes the payload document of rel's kind into rel.
 func decodePayload(rel *Release, data []byte) (*Release, error) {
 	var err error
 	switch rel.kind {

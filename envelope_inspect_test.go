@@ -42,8 +42,8 @@ func TestInspectEnvelope(t *testing.T) {
 }
 
 // TestInspectEnvelopeGolden pins inspect to the checked-in wire
-// artifacts: every golden doc (envelope and legacy v0) must identify
-// without a payload decode.
+// artifacts: every golden envelope must identify without a payload
+// decode, and every bare pre-envelope document must be refused.
 func TestInspectEnvelopeGolden(t *testing.T) {
 	cases := []struct {
 		file    string
@@ -51,11 +51,12 @@ func TestInspectEnvelopeGolden(t *testing.T) {
 		kind    ReleaseKind
 	}{
 		{"spatial_envelope.json", 1, KindSpatial},
+		{"spatial_envelope_v2.json", 1, KindSpatial},
 		{"sequence_envelope.json", 1, KindSequence},
 		{"hybrid_envelope.json", 1, KindHybrid},
-		{"spatial_v0.json", 0, KindSpatial},
-		{"sequence_v0.json", 0, KindSequence},
-		{"hybrid_v0.json", 0, KindHybrid},
+		{"spatial_v0.json", 0, ""},
+		{"sequence_v0.json", 0, ""},
+		{"hybrid_v0.json", 0, ""},
 	}
 	for _, c := range cases {
 		blob, err := os.ReadFile(filepath.Join("testdata", c.file))
@@ -63,6 +64,12 @@ func TestInspectEnvelopeGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		info, err := InspectEnvelope(blob)
+		if c.version == 0 {
+			if err == nil {
+				t.Fatalf("%s: a bare document was inspected as %+v", c.file, info)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", c.file, err)
 		}

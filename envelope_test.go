@@ -102,53 +102,35 @@ func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyV0Documents pins the compat shims: bare per-type
-// documents (the pre-envelope wire formats) still load through Decode.
+// TestDecodeLegacyV0Documents pins the retirement of the compat shims:
+// a bare per-type document (the pre-envelope wire format) is not a
+// release, and Decode and InspectEnvelope reject it with an error that
+// says so, while the per-type reader still loads it.
 func TestDecodeLegacyV0Documents(t *testing.T) {
 	rels := buildTestReleases(t)
-
 	spatial, _ := rels[KindSpatial].Spatial()
-	blob, err := json.Marshal(spatial)
-	if err != nil {
+	model, _ := rels[KindSequence].Sequence()
+	hybrid, _ := rels[KindHybrid].Hybrid()
+	for _, doc := range []json.Marshaler{spatial, model, hybrid} {
+		blob, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(blob); err == nil || !strings.Contains(err.Error(), "not a release envelope") {
+			t.Fatalf("Decode of a bare %T: error %v, want one saying it is not a release envelope", doc, err)
+		}
+		if _, err := InspectEnvelope(blob); err == nil || !strings.Contains(err.Error(), "not a release envelope") {
+			t.Fatalf("InspectEnvelope of a bare %T: error %v, want one saying it is not a release envelope", doc, err)
+		}
+	}
+	var back SpatialTree
+	blob, _ := json.Marshal(spatial)
+	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
-	}
-	dec, err := Decode(blob)
-	if err != nil {
-		t.Fatalf("legacy spatial doc rejected: %v", err)
-	}
-	if dec.Kind() != KindSpatial || dec.Mechanism() != "" || dec.Epsilon() != 0 {
-		t.Fatalf("legacy spatial doc: kind=%s mech=%q eps=%v", dec.Kind(), dec.Mechanism(), dec.Epsilon())
 	}
 	q := NewRect(Point{0.1, 0.2}, Point{0.7, 0.9})
-	if a, b := spatial.RangeCount(q), dec.RangeCount(q); a != b {
-		t.Fatalf("legacy spatial answers diverged: %v vs %v", a, b)
-	}
-
-	model, _ := rels[KindSequence].Sequence()
-	blob, err = json.Marshal(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec, err = Decode(blob); err != nil {
-		t.Fatalf("legacy sequence doc rejected: %v", err)
-	}
-	if dec.Kind() != KindSequence {
-		t.Fatalf("legacy sequence doc decoded as %s", dec.Kind())
-	}
-	if a, b := model.EstimateFrequency(Sequence{0, 1}), dec.EstimateFrequency(Sequence{0, 1}); a != b {
-		t.Fatalf("legacy sequence answers diverged: %v vs %v", a, b)
-	}
-
-	hybrid, _ := rels[KindHybrid].Hybrid()
-	blob, err = json.Marshal(hybrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec, err = Decode(blob); err != nil {
-		t.Fatalf("bare hybrid doc rejected: %v", err)
-	}
-	if dec.Kind() != KindHybrid {
-		t.Fatalf("bare hybrid doc decoded as %s", dec.Kind())
+	if a, b := spatial.RangeCount(q), back.RangeCount(q); a != b {
+		t.Fatalf("bare spatial document answers diverged: %v vs %v", a, b)
 	}
 }
 

@@ -5,15 +5,20 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // Golden-file compatibility gate: the files under testdata/ are serialized
-// artifacts checked in at the moment the versioned envelope was
-// introduced. Future changes to the decoders must keep loading them — a
-// released artifact archived by a user must never become unreadable.
+// artifacts. The *_envelope*.json files written today must not drift;
+// spatial_envelope.json (a version-1 spatial payload) and the bare
+// *_v0.json documents are fixtures from earlier formats that are no
+// longer written. Future changes to the decoders must keep loading every
+// envelope — a released artifact archived by a user must never become
+// unreadable.
 //
-// Regenerate (only when intentionally revving the wire format) with:
+// Regenerate the current envelopes (only when intentionally revving the
+// wire format) with:
 //
 //	PRIVTREE_UPDATE_GOLDEN=1 go test -run TestGolden .
 
@@ -61,69 +66,87 @@ func goldenReleases(t testing.TB) map[string]*Release {
 	return out
 }
 
-// payloadBytes marshals just the kind-specific payload document (the
-// legacy v0 wire format).
-func payloadBytes(t testing.TB, rel *Release) []byte {
-	t.Helper()
-	var payload any
-	switch rel.Kind() {
-	case KindSpatial:
-		payload, _ = rel.Spatial()
-	case KindSequence:
-		payload, _ = rel.Sequence()
-	case KindHybrid:
-		payload, _ = rel.Hybrid()
+// goldenEnvelopeFile names the checked-in envelope of each golden
+// release. The spatial one carries a version-2 payload;
+// spatial_envelope.json, its version-1 predecessor, stays as a
+// decode-only fixture.
+func goldenEnvelopeFile(name string) string {
+	if name == "spatial" {
+		return "spatial_envelope_v2.json"
 	}
-	blob, err := json.Marshal(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return name + "_envelope.json"
 }
 
 func TestGoldenArtifactsUpToDate(t *testing.T) {
 	update := os.Getenv("PRIVTREE_UPDATE_GOLDEN") == "1"
-	if update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for name, rel := range goldenReleases(t) {
-		v0 := payloadBytes(t, rel)
 		envelope, err := json.Marshal(rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for suffix, blob := range map[string][]byte{"_v0.json": v0, "_envelope.json": envelope} {
-			path := filepath.Join("testdata", name+suffix)
-			if update {
-				if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				continue
+		path := filepath.Join("testdata", goldenEnvelopeFile(name))
+		if update {
+			if err := os.WriteFile(path, append(envelope, '\n'), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with PRIVTREE_UPDATE_GOLDEN=1): %v", err)
-			}
-			if !bytes.Equal(bytes.TrimSuffix(want, []byte("\n")), blob) {
-				t.Errorf("%s: serialization drifted from the checked-in golden bytes", path)
-			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with PRIVTREE_UPDATE_GOLDEN=1): %v", err)
+		}
+		if !bytes.Equal(bytes.TrimSuffix(want, []byte("\n")), envelope) {
+			t.Errorf("%s: serialization drifted from the checked-in golden bytes", path)
 		}
 	}
 }
 
-// TestGoldenV0DecodesViaEnvelopeEntryPoint is the compat contract of the
-// API redesign: privtree.Decode must load the checked-in v0 documents
-// bit-for-bit equal to the legacy per-type decoders.
+// TestGoldenV1SpatialReencodesAsV2 is the compatibility contract of the
+// version-2 spatial payload: the checked-in version-1 envelope decodes
+// to a release whose envelope is, byte for byte, the version-2 golden
+// file — the regions version 1 stored are exactly the ones version 2
+// derives.
+func TestGoldenV1SpatialReencodesAsV2(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "spatial_envelope.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "spatial_envelope_v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := Decode(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rel.Envelope()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.TrimSuffix(v2, []byte("\n"))) {
+		t.Fatal("the version-1 golden release does not re-encode as the version-2 golden file")
+	}
+	again, err := Decode(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRelease(rel, again) {
+		t.Fatal("the version-1 and version-2 golden files decode to different releases")
+	}
+}
+
+// TestGoldenV0DecodesViaEnvelopeEntryPoint pins the retirement of the
+// bare per-type documents that predate the envelope: Decode must reject
+// each checked-in one with an error saying it is not an envelope, while
+// the per-type UnmarshalJSON methods still read them.
 func TestGoldenV0DecodesViaEnvelopeEntryPoint(t *testing.T) {
 	cases := []struct {
 		file string
-		kind ReleaseKind
+		into json.Unmarshaler
 	}{
-		{"spatial_v0.json", KindSpatial},
-		{"sequence_v0.json", KindSequence},
-		{"hybrid_v0.json", KindHybrid},
+		{"spatial_v0.json", &SpatialTree{}},
+		{"sequence_v0.json", &SequenceModel{}},
+		{"hybrid_v0.json", &HybridTree{}},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
@@ -131,42 +154,14 @@ func TestGoldenV0DecodesViaEnvelopeEntryPoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rel, err := Decode(blob)
-			if err != nil {
-				t.Fatalf("Decode rejected golden v0 artifact: %v", err)
+			if _, err := Decode(blob); err == nil || !strings.Contains(err.Error(), "not a release envelope") {
+				t.Fatalf("Decode of a bare document: error %v, want one saying it is not a release envelope", err)
 			}
-			if rel.Kind() != c.kind {
-				t.Fatalf("decoded kind %s, want %s", rel.Kind(), c.kind)
+			if _, err := InspectEnvelope(blob); err == nil || !strings.Contains(err.Error(), "not a release envelope") {
+				t.Fatalf("InspectEnvelope of a bare document: error %v, want one saying it is not a release envelope", err)
 			}
-			// Legacy decoder path.
-			var legacy []byte
-			switch c.kind {
-			case KindSpatial:
-				var tr SpatialTree
-				if err := json.Unmarshal(blob, &tr); err != nil {
-					t.Fatal(err)
-				}
-				legacy, err = json.Marshal(&tr)
-			case KindSequence:
-				var m SequenceModel
-				if err := json.Unmarshal(blob, &m); err != nil {
-					t.Fatal(err)
-				}
-				legacy, err = json.Marshal(&m)
-			case KindHybrid:
-				var h HybridTree
-				if err := json.Unmarshal(blob, &h); err != nil {
-					t.Fatal(err)
-				}
-				legacy, err = json.Marshal(&h)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Bit-for-bit: the artifact Decode reconstructed serializes to
-			// exactly the bytes the legacy decoder's reconstruction does.
-			if got := payloadBytes(t, rel); !bytes.Equal(got, legacy) {
-				t.Fatal("Decode and the legacy decoder reconstruct different artifacts")
+			if err := json.Unmarshal(blob, c.into); err != nil {
+				t.Fatalf("the per-type reader rejected its document: %v", err)
 			}
 		})
 	}
@@ -176,9 +171,10 @@ func TestGoldenV0DecodesViaEnvelopeEntryPoint(t *testing.T) {
 // envelope files.
 func TestGoldenEnvelopesDecode(t *testing.T) {
 	for name, want := range map[string]ReleaseKind{
-		"spatial_envelope.json":  KindSpatial,
-		"sequence_envelope.json": KindSequence,
-		"hybrid_envelope.json":   KindHybrid,
+		"spatial_envelope.json":    KindSpatial,
+		"spatial_envelope_v2.json": KindSpatial,
+		"sequence_envelope.json":   KindSequence,
+		"hybrid_envelope.json":     KindHybrid,
 	} {
 		blob, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

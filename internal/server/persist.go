@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"privtree"
+	"privtree/internal/wire"
 )
 
 // The dataset.json versions: 1 is all JSON, 2 a JSON header and a binary
@@ -206,6 +207,10 @@ func parseDatasetFile(blob []byte, name string) (persistedDataset, error) {
 		err = fmt.Errorf("unsupported dataset file version %d", pd.Version)
 	}
 	if err != nil {
+		// A newer build's file need not parse here; say that, not corrupt.
+		if v, ok := wire.VersionOf(blob, "privtreed_dataset"); ok && v > datasetFileV2 {
+			return pd, fmt.Errorf("dataset.json version %d is newer than this node reads; upgrade it", v)
+		}
 		return pd, fmt.Errorf("corrupt dataset.json: %w", err)
 	}
 	if pd.Request.Name != name {

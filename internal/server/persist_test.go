@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"privtree"
+	"privtree/internal/repl"
 )
 
 // TestServerRestartResumesState is the end-to-end acceptance check for
@@ -439,4 +440,29 @@ func TestRegistrationRowsSurviveRestartAndReplica(t *testing.T) {
 	tsS := httptest.NewServer(restarted)
 	defer tsS.Close()
 	repeat(restarted, tsS.URL, "restarted")
+}
+
+// TestNewerDatasetFileNamed: a dataset.json written by a newer build
+// fails with an error that names its version and says to upgrade,
+// whether or not its header parses here, instead of calling the file
+// corrupt. A replica's Ensure leaves naming the dataset to the syncer
+// pass that calls it, so the name is not in its error twice.
+func TestNewerDatasetFileNamed(t *testing.T) {
+	docs := []string{
+		`{"privtreed_dataset":3,"created_at":"2026-03-04T05:06:07Z","request":{"name":"h","epsilon":1},"columns":[]}` + "\n\x00\x00\x00\x00",
+		`{"privtreed_dataset":3,"request":{"name":"h","epsilon":1,"points":"AAAA"}}`,
+		`{"privtreed_dataset":3,"created_at":"2026-03-04T05:06:07Z","request":{"name":"h","epsilon":1}}`,
+	}
+	for _, doc := range docs {
+		_, err := parseDatasetFile([]byte(doc), "h")
+		if err == nil || !strings.Contains(err.Error(), "version 3 is newer than this node reads; upgrade it") {
+			t.Errorf("%.60q: error %v, want one naming the newer version", doc, err)
+		}
+	}
+	srv := mustNew(t, Options{DataDir: t.TempDir(), Workers: 1})
+	defer srv.Close()
+	_, err := replicaTarget{srv}.Ensure(repl.DatasetDoc{Name: "h"}, []byte(docs[0]))
+	if err == nil || !strings.Contains(err.Error(), "newer") || strings.Contains(err.Error(), `"h"`) {
+		t.Fatalf("Ensure of a newer registration: error %v, want the version error without the dataset name", err)
+	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 
 	"privtree/internal/wire"
@@ -46,7 +47,12 @@ func decodeDatasetFile(doc []byte) (persistedDataset, error) {
 		case "privtreed_dataset":
 			return jsonField(r, &pd.Version)
 		case "created_at":
-			return jsonField(r, &pd.CreatedAt)
+			// time.ParseError quotes the whole value, twice, in its
+			// message: rejecting a hostile header must not cost that.
+			if jsonField(r, &pd.CreatedAt) != nil {
+				return errors.New("created_at is not an RFC 3339 time")
+			}
+			return nil
 		case "request":
 			return r.Object(requestField(r, &pd.Request))
 		case "rows":

@@ -438,7 +438,8 @@ func (t replicaTarget) Lookup(name string) (repl.Replica, bool, error) {
 
 // Ensure materializes the dataset doc advertises from the primary's
 // registration document (already checked against the listing's hash),
-// persisting those bytes verbatim.
+// persisting those bytes verbatim. Its errors do not name the dataset:
+// the syncer's pass adds the name to each.
 func (t replicaTarget) Ensure(doc repl.DatasetDoc, registration []byte) (repl.Replica, error) {
 	s := t.s
 	s.regMu.Lock()
@@ -448,11 +449,11 @@ func (t replicaTarget) Ensure(doc repl.DatasetDoc, registration []byte) (repl.Re
 	}
 	pd, err := parseDatasetFile(registration, doc.Name)
 	if err != nil {
-		return nil, fmt.Errorf("dataset %q: %w", doc.Name, err)
+		return nil, err
 	}
 	d, err := s.buildDataset(&pd.Request)
 	if err != nil {
-		return nil, fmt.Errorf("dataset %q: rebuilding from registration: %w", doc.Name, err)
+		return nil, fmt.Errorf("rebuilding from registration: %w", err)
 	}
 	d.CreatedAt = pd.CreatedAt
 	d.regBytes, d.regSHA256 = int64(len(registration)), doc.RegistrationSHA256
@@ -460,11 +461,11 @@ func (t replicaTarget) Ensure(doc repl.DatasetDoc, registration []byte) (repl.Re
 	// The primary's bytes, not a re-marshaling: a restart of this replica
 	// must recover exactly the document the primary registered.
 	if err := writeDatasetBlob(dsDir, registration); err != nil {
-		return nil, fmt.Errorf("dataset %q: persisting registration: %w", doc.Name, err)
+		return nil, fmt.Errorf("persisting registration: %w", err)
 	}
 	if err := d.AttachStore(filepath.Join(dsDir, "store")); err != nil {
 		os.RemoveAll(dsDir)
-		return nil, fmt.Errorf("dataset %q: %w", doc.Name, err)
+		return nil, err
 	}
 	if err := s.registry.Insert(d); err != nil {
 		d.Close()

@@ -73,12 +73,12 @@ func (r *Release) Envelope() ([]byte, error) {
 func (r *Release) Kind() ReleaseKind { return r.kind }
 
 // Mechanism returns the registry name of the mechanism that produced the
-// release ("spatial", "baseline/ug", ...). Empty for releases decoded from
-// legacy v0 documents, which do not record it.
+// release ("spatial", "baseline/ug", ...). Empty when the envelope did not
+// record it.
 func (r *Release) Mechanism() string { return r.mechanism }
 
-// Epsilon returns the privacy budget the release consumed. Zero for
-// releases decoded from legacy v0 documents, which do not record it.
+// Epsilon returns the privacy budget the release consumed. Zero when the
+// envelope did not record it.
 func (r *Release) Epsilon() float64 { return r.epsilon }
 
 // Seed returns the mechanism seed the release was built with.

@@ -1,6 +1,8 @@
 package privtree
 
 import (
+	"bytes"
+	"encoding/base64"
 	"fmt"
 	"math"
 	"slices"
@@ -12,66 +14,180 @@ import (
 )
 
 // This file serializes released artifacts. A serialized tree contains
-// exactly what the mechanism released — regions and noisy counts — so the
-// bytes carry the same ε-differential-privacy guarantee as the in-memory
-// object and can be published or archived as-is.
+// exactly what the mechanism released — the decomposition and the noisy
+// counts — so the bytes carry the same ε-differential-privacy guarantee
+// as the in-memory object and can be published or archived as-is.
 
-// The spatial payload document is
+// The spatial payload document, version 2, is
+//
+//	{"version":2,"fanout":β,"lo":[d floats],"hi":[d floats],"nodes":N,
+//	 "shape":"<base64>","counts":[L floats]}
+//
+// lo and hi bound the domain, the root's region. shape has one bit per
+// node in pre-order, 1 for a split node and 0 for a leaf, packed from the
+// low bit of each byte up into ⌈N/8⌉ bytes with zero padding, written as
+// padded standard base64. counts holds the L leaves' noisy counts in the
+// same pre-order. Only the decision to split a node is noisy (paper §3);
+// how a node splits is fixed by the domain and β, so no region is written:
+// the reader rebuilds each one with spatialSplitter, the splitter the
+// build used, and internal counts are the sums of their leaves.
+//
+// The writer emits exactly what encoding/json writes for that object, and
+// the reader accepts only those bytes — this key order, no whitespace,
+// numbers in encoding/json's form — so an accepted payload re-encodes
+// byte for byte.
+//
+// Version 1 wrote every node's region. It is still read, since stores and
+// replicas hold version-1 artifacts under their SHA-256, but not written:
 //
 //	{"version":1,"fanout":β,"root":NODE}
 //	NODE = {"lo":[...],"hi":[...],"count":c}              (leaf)
 //	     | {"lo":[...],"hi":[...],"children":[NODE × β]} (internal)
 //
-// Internal counts are not written: they are the sums of their leaves.
+// Its reader accepts what encoding/json accepts (see codec.go) and
+// checks every region against its parent.
+
+// spatialPayloadVersion is the spatial payload version this library writes.
+const spatialPayloadVersion = 2
 
 // MarshalJSON implements json.Marshaler for SpatialTree.
 func (t *SpatialTree) MarshalJSON() ([]byte, error) {
-	return appendSpatialPayload(nil, t.tree)
+	return appendSpatialPayload(nil, t)
 }
 
-// appendSpatialPayload appends the payload document in one walk of the
-// arena, sizing the buffer up front from the node count.
-func appendSpatialPayload(b []byte, tree *core.Tree) ([]byte, error) {
-	d := tree.Dims()
-	b = slices.Grow(b, tree.Size()*(44*d+16)+64)
-	b = append(b, `{"version":1,"fanout":`...)
-	b = strconv.AppendInt(b, int64(tree.Fanout), 10)
-	b = append(b, `,"root":`...)
-	b, err := appendSpatialNode(b, tree.Root())
+// appendSpatialPayload appends the version-2 payload document in one
+// pre-order walk of the arena, which writes each leaf's count and, into
+// a slot reserved for the shape, each node's bit. Unless the tree is
+// known to be derived, the walk also checks that every split node's
+// children have exactly the regions spatialSplitter derives: a tree with
+// other regions, which only a hand-written version-1 document can
+// produce, would decode to a different tree, so it is refused.
+func appendSpatialPayload(b []byte, t *SpatialTree) ([]byte, error) {
+	tree := t.tree
+	root := tree.Root().Region()
+	split, err := spatialDomain(root, tree.Fanout)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '}'), nil
-}
-
-func appendSpatialNode(b []byte, n core.NodeRef) ([]byte, error) {
-	region := n.Region()
-	b = append(b, `{"lo":`...)
-	b, err := wire.AppendFloats(b, region.Lo)
-	if err != nil {
-		return b, err
+	n := tree.Size()
+	shapeLen := base64.StdEncoding.EncodedLen((n + 7) / 8)
+	b = slices.Grow(b, spatialPayloadCap(tree))
+	b = append(b, `{"version":2,"fanout":`...)
+	b = strconv.AppendInt(b, int64(tree.Fanout), 10)
+	b = append(b, `,"lo":`...)
+	if b, err = wire.AppendFloats(b, root.Lo); err != nil {
+		return nil, err
 	}
 	b = append(b, `,"hi":`...)
-	if b, err = wire.AppendFloats(b, region.Hi); err != nil {
-		return b, err
+	if b, err = wire.AppendFloats(b, root.Hi); err != nil {
+		return nil, err
 	}
-	if n.IsLeaf() {
-		b = append(b, `,"count":`...)
-		if b, err = wire.AppendFloat(b, n.Count()); err != nil {
-			return b, err
+	b = append(b, `,"nodes":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, `,"shape":"`...)
+	shapeAt := len(b)
+	b = append(b, make([]byte, shapeLen)...)
+	b = append(b, `","counts":[`...)
+
+	// Shape bits go out as base64 in groups of 24 bits (4 characters).
+	var group [3]byte
+	var stackBuf [256]int32
+	stack := append(stackBuf[:0], 0)
+	var kids []geom.Rect
+	leaves := 0
+	bit := 0
+	for ; len(stack) > 0; bit++ {
+		if bit > 0 && bit%24 == 0 {
+			base64.StdEncoding.Encode(b[shapeAt+4*(bit/24-1):], group[:])
+			group = [3]byte{}
 		}
-		return append(b, '}'), nil
+		node := tree.At(int(stack[len(stack)-1]))
+		stack = stack[:len(stack)-1]
+		if node.IsLeaf() {
+			if leaves++; leaves > 1 {
+				b = append(b, ',')
+			}
+			if b, err = wire.AppendFloat(b, node.Count()); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if node.NumChildren() != tree.Fanout {
+			return nil, fmt.Errorf("privtree: node has %d children, fanout is %d", node.NumChildren(), tree.Fanout)
+		}
+		group[bit%24/8] |= 1 << (bit % 8)
+		if !t.derived {
+			kids = split.SplitInto(node.Region(), node.Depth(), kids)
+		}
+		for c := tree.Fanout - 1; c >= 0; c-- {
+			child := node.Child(c)
+			if !t.derived && !sameBits(child.Region(), kids[c]) {
+				return nil, fmt.Errorf("privtree: a node's region is not the split of its parent's, so no version-%d payload can carry the tree", spatialPayloadVersion)
+			}
+			stack = append(stack, int32(child.Index()))
+		}
 	}
-	b = append(b, `,"children":[`...)
-	for i := 0; i < n.NumChildren(); i++ {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if b, err = appendSpatialNode(b, n.Child(i)); err != nil {
-			return b, err
-		}
+	if bit != n {
+		return nil, fmt.Errorf("privtree: %d of the tree's %d nodes are reachable from its root", bit, n)
 	}
+	base64.StdEncoding.Encode(b[shapeAt+4*((n-1)/24):], group[:(n-1)%24/8+1])
 	return append(b, "]}"...), nil
+}
+
+// spatialPayloadCap bounds the length of tree's payload document, so
+// that it is written without growing the buffer: a float takes at most
+// 24 bytes as encoding/json writes it.
+func spatialPayloadCap(tree *core.Tree) int {
+	n := tree.Size()
+	return 96 + 50*tree.Dims() + base64.StdEncoding.EncodedLen((n+7)/8) + 25*n
+}
+
+// sameBits reports whether two regions have bit-identical bounds.
+func sameBits(a, b geom.Rect) bool {
+	for i := range a.Lo {
+		if math.Float64bits(a.Lo[i]) != math.Float64bits(b.Lo[i]) ||
+			math.Float64bits(a.Hi[i]) != math.Float64bits(b.Hi[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// spatialDomain checks that a version-2 payload can describe a tree over
+// domain with this fanout and returns the splitter that derives its
+// regions: finite bounds with lo ≤ hi, a finite width on every axis (so
+// every midpoint the splitter takes is finite), and a fanout the splitter
+// realizes in len(domain.Lo) dimensions.
+func spatialDomain(domain geom.Rect, fanout int) (geom.Splitter, error) {
+	if _, err := wireRect(domain.Lo, domain.Hi); err != nil {
+		return nil, err
+	}
+	for i := range domain.Lo {
+		if math.IsInf(domain.Hi[i]-domain.Lo[i], 0) {
+			return nil, fmt.Errorf("privtree: domain axis %d is wider than a float64 can hold", i)
+		}
+	}
+	if fanout > maxWireFanout {
+		return nil, fmt.Errorf("privtree: unusable fanout %d", fanout)
+	}
+	return spatialSplitter(len(domain.Lo), fanout)
+}
+
+// spatialV2Fits reports whether decoding a version-2 payload of
+// inputBytes bytes that declares n nodes in d dimensions with this fanout
+// stays within 64 bytes of allocation per input byte. Per node that is
+// the arena (a 24-byte core.Node and 2·d coordinates), a leaf count, a
+// walk-stack slot and a shape bit; one split's scratch regions come on
+// top. A payload is small because it leaves the regions out, so the
+// bound is what keeps a few bytes of shape from claiming gigabytes of
+// coordinates; a real release, whose every leaf carries a noisy count of
+// a dozen or more digits, stays far inside it.
+func spatialV2Fits(n, d, fanout, inputBytes int) bool {
+	budget := 64 * inputBytes
+	if n > 1 {
+		budget -= fanout * (48 + 16*d)
+	}
+	return n >= 1 && n <= math.MaxInt32 && budget >= 0 && n <= budget/(41+16*d)
 }
 
 // wireRect validates one serialized node's bounds and returns the region.
@@ -91,26 +207,156 @@ func wireRect(lo, hi []float64) (geom.Rect, error) {
 // beyond any realizable splitter and merely prevents absurd allocations.
 const maxWireFanout = 1 << 20
 
-// UnmarshalJSON implements json.Unmarshaler for SpatialTree: internal
-// counts are reconstructed as leaf sums, exactly as the release pipeline
-// defines them. Malformed input — truncated documents, inverted or
-// non-finite bounds, children escaping their parent, wrong child arity,
-// missing leaf counts — is rejected with an error before any tree is
-// exposed; t is left unmodified on failure.
+// UnmarshalJSON implements json.Unmarshaler for SpatialTree, reading
+// either payload version: internal counts are reconstructed as leaf sums,
+// exactly as the release pipeline defines them. Malformed input is
+// rejected with an error before any tree is exposed; t is left unmodified
+// on failure.
 func (t *SpatialTree) UnmarshalJSON(data []byte) error {
 	tree, err := readSpatialPayload(data)
 	if err != nil {
 		return err
 	}
-	t.tree = tree
+	*t = *tree
 	return nil
 }
 
-// readSpatialPayload decodes a payload document: one pass over the bytes
-// fills a wire-node table, then one walk of that table validates every
-// node and lays the arena out depth first, each node's children as one
-// block — the layout the builder gives a fresh build.
-func readSpatialPayload(data []byte) (*core.Tree, error) {
+// spatialV2Prefix opens every version-2 payload.
+var spatialV2Prefix = []byte(`{"version":2,`)
+
+// readSpatialPayload decodes a payload document of either version: one
+// that opens as a version-2 payload must be one, and anything else goes
+// through the version-1 reader.
+func readSpatialPayload(data []byte) (*SpatialTree, error) {
+	if bytes.HasPrefix(data, spatialV2Prefix) {
+		tree, err := readSpatialV2(data)
+		if err != nil {
+			return nil, err
+		}
+		return &SpatialTree{tree: tree, derived: true}, nil
+	}
+	tree, err := readSpatialV1(data)
+	if err != nil {
+		return nil, err
+	}
+	return &SpatialTree{tree: tree}, nil
+}
+
+// readSpatialV2 decodes a version-2 payload, which must be exactly the
+// bytes appendSpatialPayload writes for its tree. The declared node count
+// is checked against the allocation bound, the shape's length and the
+// number of counts before the arena is allocated.
+func readSpatialV2(data []byte) (*core.Tree, error) {
+	bad := func(err error) (*core.Tree, error) {
+		return nil, fmt.Errorf("privtree: malformed spatial payload: %w", err)
+	}
+	r := wire.NewReader(data)
+	fanout, err := r.CanonicalInt(`{"version":2,"fanout":`)
+	if err != nil {
+		return bad(err)
+	}
+	lo, err := r.CanonicalFloats(`,"lo":`, nil)
+	if err != nil {
+		return bad(err)
+	}
+	hi, err := r.CanonicalFloats(`,"hi":`, nil)
+	if err != nil {
+		return bad(err)
+	}
+	domain := geom.Rect{Lo: lo, Hi: hi}
+	split, err := spatialDomain(domain, fanout)
+	if err != nil {
+		return nil, err
+	}
+	n, err := r.CanonicalInt(`,"nodes":`)
+	if err != nil {
+		return bad(err)
+	}
+	if !spatialV2Fits(n, len(lo), fanout, len(data)) {
+		return nil, fmt.Errorf("privtree: spatial payload declares %d nodes in %d dimensions; %d bytes cannot describe them", n, len(lo), len(data))
+	}
+	var text []byte
+	if err = r.Expect(`,"shape":"`); err == nil {
+		text, err = r.Next(base64.StdEncoding.EncodedLen((n + 7) / 8))
+	}
+	if err != nil {
+		return bad(err)
+	}
+	counts, err := r.CanonicalFloats(`","counts":`, make([]float64, 0, min(n, len(r.Rest())/2+1)))
+	if err == nil {
+		err = r.Expect("}")
+	}
+	if err == nil && len(r.Rest()) != 0 {
+		err = fmt.Errorf("data after the payload object")
+	}
+	if err != nil {
+		return bad(err)
+	}
+	if (n-1)%fanout != 0 || len(counts) != n-(n-1)/fanout {
+		return bad(fmt.Errorf("no tree of %d nodes and fanout %d has %d leaves", n, fanout, len(counts)))
+	}
+	shape := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
+	k, err := base64.StdEncoding.Strict().Decode(shape, text)
+	if err != nil || k != (n+7)/8 {
+		return bad(fmt.Errorf("shape is not %d bytes of canonical base64", (n+7)/8))
+	}
+	shape = shape[:k]
+	if n&7 != 0 && shape[k-1]>>(n&7) != 0 {
+		return bad(fmt.Errorf("shape has bits set past its last node"))
+	}
+
+	// The walk stops at the first bit that does not fit one complete tree
+	// of n nodes with len(counts) leaves, so the arena never outgrows n.
+	b := core.NewBuilder(fanout, n)
+	b.AddRoot(domain)
+	var kids []geom.Rect
+	var stackBuf [256]int32
+	stack := append(stackBuf[:0], 0)
+	i, leaf := 0, 0
+	for ; len(stack) > 0 && i < n; i++ {
+		idx := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if shape[i>>3]>>(i&7)&1 == 0 {
+			if leaf == len(counts) {
+				break
+			}
+			b.SetCount(idx, counts[leaf])
+			leaf++
+			continue
+		}
+		if b.Len()+fanout > n {
+			break
+		}
+		kids = split.SplitInto(b.Region(idx), int(b.Node(idx).Depth), kids)
+		first := b.AddChildren(idx, kids)
+		for c := int32(fanout) - 1; c >= 0; c-- {
+			stack = append(stack, first+c)
+		}
+	}
+	if len(stack) != 0 || i != n || leaf != len(counts) {
+		return bad(fmt.Errorf("shape and %d counts do not describe one tree of %d nodes", len(counts), n))
+	}
+	tree := b.Build(true)
+	tree.SumInternalCounts()
+	return tree, nil
+}
+
+// newerVersion explains a failed read of a document whose key names a
+// version newer than newest: a newer writer's document need not parse
+// here, and its reader should say it is newer, not malformed. It returns
+// err otherwise.
+func newerVersion(what, key string, data []byte, newest int, err error) error {
+	if v, ok := wire.VersionOf(data, key); ok && v > newest {
+		return fmt.Errorf("privtree: %s version %d is newer than this node reads; upgrade it", what, v)
+	}
+	return err
+}
+
+// readSpatialV1 decodes a version-1 payload document: one pass over the
+// bytes fills a wire-node table, then one walk of that table validates
+// every node and lays the arena out depth first, each node's children as
+// one block — the layout the builder gives a fresh build.
+func readSpatialV1(data []byte) (*core.Tree, error) {
 	r := wire.NewReader(data)
 	t := newTreeReader(r, "lo", "hi", "count")
 	var version, fanout int
@@ -128,11 +374,14 @@ func readSpatialPayload(data []byte) (*core.Tree, error) {
 	if err == nil {
 		err = r.End()
 	}
-	if err != nil {
-		return nil, err
+	if err == nil && version != 1 {
+		err = fmt.Errorf("privtree: spatial payload version %d is not in the form its writer produces", version)
+		if version != spatialPayloadVersion {
+			err = fmt.Errorf("privtree: unsupported spatial payload version %d", version)
+		}
 	}
-	if version != 1 {
-		return nil, fmt.Errorf("privtree: unsupported tree version %d", version)
+	if err != nil {
+		return nil, newerVersion("spatial payload", "version", data, spatialPayloadVersion, err)
 	}
 	if fanout < 2 || fanout > maxWireFanout {
 		return nil, fmt.Errorf("privtree: unusable fanout %d", fanout)

@@ -76,7 +76,10 @@ func TestSpatialTreeUnmarshalHostileBounds(t *testing.T) {
 // FuzzSpatialTreeUnmarshal drives arbitrary bytes through UnmarshalJSON.
 // The contract under fuzzing: never panic, and any accepted document must
 // denote a coherent tree — re-serializing it and parsing the result back
-// must preserve RangeCount answers exactly.
+// must preserve RangeCount answers exactly. The one tree that may not
+// re-serialize is a version-1 one whose regions are not the splitter's
+// (or whose domain is too wide to split), which no version-2 payload can
+// carry.
 func FuzzSpatialTreeUnmarshal(f *testing.F) {
 	f.Add(smallTreeBlob(f))
 	f.Add([]byte(`{"version":1,"fanout":4,"root":{"lo":[0,0],"hi":[1,1],"count":3.5}}`))
@@ -95,7 +98,10 @@ func FuzzSpatialTreeUnmarshal(f *testing.F) {
 		// Accepted: the tree must round-trip losslessly.
 		blob, err := json.Marshal(&tree)
 		if err != nil {
-			t.Fatalf("accepted tree failed to marshal: %v", err)
+			if tree.derived {
+				t.Fatalf("accepted version-2 tree failed to marshal: %v", err)
+			}
+			return
 		}
 		var again SpatialTree
 		if err := json.Unmarshal(blob, &again); err != nil {

@@ -113,11 +113,11 @@ func readSequencePayload(data []byte) (*markov.Model, int, error) {
 	if err == nil {
 		err = r.End()
 	}
-	if err != nil {
-		return nil, 0, err
+	if err == nil && version != 1 {
+		err = fmt.Errorf("privtree: unsupported model version %d", version)
 	}
-	if version != 1 {
-		return nil, 0, fmt.Errorf("privtree: unsupported model version %d", version)
+	if err != nil {
+		return nil, 0, newerVersion("sequence payload", "version", data, 1, err)
 	}
 	if k < 1 || k > maxWireAlphabet {
 		return nil, 0, fmt.Errorf("privtree: model alphabet %d invalid", k)

@@ -40,6 +40,9 @@ func TestSpatialTreeJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpatialTreeJSONOnlyLeavesCarryCounts: the payload carries one
+// count per leaf and no region below the domain — internal counts are
+// leaf sums and regions are derived from the splits.
 func TestSpatialTreeJSONOnlyLeavesCarryCounts(t *testing.T) {
 	pts := makeClusteredPoints(5000)
 	tree, err := BuildSpatial(UnitCube(2), pts, 1.0, SpatialOptions{Seed: 3})
@@ -50,30 +53,28 @@ func TestSpatialTreeJSONOnlyLeavesCarryCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var raw map[string]any
+	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &raw); err != nil {
 		t.Fatal(err)
 	}
-	var check func(node map[string]any)
-	check = func(node map[string]any) {
-		kids, hasKids := node["children"].([]any)
-		_, hasCount := node["count"]
-		if hasKids && hasCount {
-			t.Fatal("internal node serialized a count; the release defines internal counts as leaf sums")
-		}
-		if !hasKids && !hasCount {
-			t.Fatal("leaf without count")
-		}
-		for _, k := range kids {
-			check(k.(map[string]any))
+	var counts []float64
+	if err := json.Unmarshal(raw["counts"], &counts); err != nil {
+		t.Fatal(err)
+	}
+	if len(counts) != len(tree.Leaves()) {
+		t.Fatalf("%d counts for %d leaves", len(counts), len(tree.Leaves()))
+	}
+	for _, key := range []string{"root", "children", "count"} {
+		if _, ok := raw[key]; ok {
+			t.Fatalf("payload carries %q", key)
 		}
 	}
-	check(raw["root"].(map[string]any))
 }
 
 func TestSpatialTreeUnmarshalRejectsMalformed(t *testing.T) {
 	cases := []string{
-		`{"version": 2, "fanout": 4, "root": {"lo":[0],"hi":[1],"count":1}}`,                                    // bad version
+		`{"version": 2, "fanout": 4, "root": {"lo":[0],"hi":[1],"count":1}}`,                                    // v2 without its fields
+		`{"version": 3, "fanout": 4, "root": {"lo":[0],"hi":[1],"count":1}}`,                                    // future version
 		`{"version": 1, "fanout": 4, "root": {"lo":[0,0],"hi":[1,1]}}`,                                          // leaf without count
 		`{"version": 1, "fanout": 4, "root": {"lo":[0],"hi":[1,1],"count":1}}`,                                  // bounds mismatch
 		`{"version": 1, "fanout": 2, "root": {"lo":[0],"hi":[1],"children":[{"lo":[0],"hi":[0.5],"count":1}]}}`, // wrong child count

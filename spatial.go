@@ -3,6 +3,7 @@ package privtree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"privtree/internal/baseline"
 	"privtree/internal/core"
@@ -61,6 +62,10 @@ type SpatialOptions struct {
 // SpatialTree is a released private decomposition with noisy counts.
 type SpatialTree struct {
 	tree *core.Tree
+	// derived records that every region is the spatialSplitter split of
+	// its parent's, as a build and a version-2 decode produce them, so
+	// the payload writer need not check it again.
+	derived bool
 }
 
 // BuildSpatial runs the full PrivTree pipeline of the paper's Section 3 on
@@ -110,21 +115,12 @@ func buildSpatialTree(data *dataset.Spatial, eps float64, p Params) (*SpatialTre
 	domain := data.Domain
 	d := domain.Dims()
 	fanout := p.Fanout
-	var split geom.Splitter
-	switch {
-	case fanout == 0 || fanout == 1<<d:
+	if fanout == 0 {
 		fanout = 1 << d
-		split = geom.FullBisect{Dim: d}
-	default:
-		// Accept 2^k fanouts below 2^d via round-robin splitting.
-		k := 0
-		for 1<<k < fanout {
-			k++
-		}
-		if 1<<k != fanout || k < 1 || k > d {
-			return nil, fmt.Errorf("privtree: fanout %d not realizable in %d dimensions (want a power of two ≤ 2^d)", fanout, d)
-		}
-		split = geom.RoundRobinBisect{Dim: d, PerStep: k}
+	}
+	split, err := spatialSplitter(d, fanout)
+	if err != nil {
+		return nil, err
 	}
 	frac := p.TreeBudgetFraction
 	if frac == 0 {
@@ -149,7 +145,23 @@ func buildSpatialTree(data *dataset.Spatial, eps float64, p Params) (*SpatialTre
 	if err != nil {
 		return nil, err
 	}
-	return &SpatialTree{tree: t}, nil
+	return &SpatialTree{tree: t, derived: true}, nil
+}
+
+// spatialSplitter returns how a spatial release of dimension d and fanout
+// β splits a node: every axis bisected at once when β = 2^d (the
+// quadtree family), k axes per level in round robin when β = 2^k < 2^d.
+// The build and the payload decoder both call it, so the regions a
+// decoder derives are the ones the build produced.
+func spatialSplitter(d, fanout int) (geom.Splitter, error) {
+	k := bits.TrailingZeros(uint(fanout))
+	if fanout < 2 || fanout&(fanout-1) != 0 || k > d {
+		return nil, fmt.Errorf("privtree: fanout %d not realizable in %d dimensions (want a power of two ≤ 2^d)", fanout, d)
+	}
+	if k == d {
+		return geom.FullBisect{Dim: d}, nil
+	}
+	return geom.RoundRobinBisect{Dim: d, PerStep: k}, nil
 }
 
 // RangeCount estimates the number of points inside q (the noisy traversal
