@@ -40,7 +40,8 @@ type wireNode struct {
 	n           int32
 }
 
-// coordSlab is the size of the reader's float slabs, in float64s.
+// coordSlab is the size of the reader's float slabs, in float64s, that
+// short arrays share; a longer array keeps the buffer it was read into.
 const coordSlab = 4096
 
 // treeReader fills a flat wireNode table from the nested node objects of
@@ -155,8 +156,13 @@ func (t *treeReader) floats(hist []float64) ([]float64, error) {
 		copy(hist, vals)
 		return hist[:n], nil
 	}
+	if n > coordSlab {
+		t.scratch = nil
+		return vals[:n:n], nil
+	}
 	if len(t.slab) < n {
-		t.slab = make([]float64, max(coordSlab, n))
+		// No more floats follow than the rest of the input can spell.
+		t.slab = make([]float64, n+min(coordSlab-n, len(t.r.Rest())/2))
 	}
 	out := t.slab[:n:n]
 	t.slab = t.slab[n:]

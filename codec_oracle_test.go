@@ -2,6 +2,7 @@ package privtree
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -50,12 +51,56 @@ type oracleTreeV2JSON struct {
 	Counts  []float64 `json:"counts"`
 }
 
+// oracleSplitter checks, independently of the library, that a version-2
+// payload can describe a tree over [lo, hi] with this fanout — finite
+// bounds, lo ≤ hi and a finite width on every axis, and a fanout that is
+// a power of two from 2 to 2^d and at most 2^20 — and returns the
+// splitter a build of that fanout uses.
+func oracleSplitter(lo, hi []float64, fanout int) (geom.Splitter, error) {
+	d := len(lo)
+	if d == 0 || len(hi) != d {
+		return nil, fmt.Errorf("domain has %d and %d bounds", len(lo), len(hi))
+	}
+	for i := range lo {
+		if math.IsInf(lo[i], 0) || math.IsInf(hi[i], 0) || math.IsNaN(lo[i]) || math.IsNaN(hi[i]) ||
+			lo[i] > hi[i] || math.IsInf(hi[i]-lo[i], 0) {
+			return nil, fmt.Errorf("unusable domain axis %d: [%v, %v]", i, lo[i], hi[i])
+		}
+	}
+	k := 0
+	for 1<<k < fanout && k < 21 {
+		k++
+	}
+	if fanout < 2 || fanout > 1<<20 || 1<<k != fanout || k > d {
+		return nil, fmt.Errorf("fanout %d not realizable in %d dimensions", fanout, d)
+	}
+	if k == d {
+		return geom.FullBisect{Dim: d}, nil
+	}
+	return geom.RoundRobinBisect{Dim: d, PerStep: k}, nil
+}
+
+// oracleFits is the allocation bound on a version-2 payload of size
+// bytes: n nodes cost 41 + 16·d bytes each, plus (48 + 16·d)·fanout for
+// one split's scratch when the root splits, and all of it must fit in 64
+// bytes per input byte.
+func oracleFits(n, d, fanout, size int) bool {
+	if n < 1 || n > math.MaxInt32 {
+		return false
+	}
+	need := uint64(n) * uint64(41+16*d)
+	if n > 1 {
+		need += uint64(fanout) * uint64(48+16*d)
+	}
+	return need <= 64*uint64(size)
+}
+
 // oracleMarshalSpatial writes the version-2 payload: a recursive
 // pre-order walk sets one shape bit per split node, collects the leaf
 // counts, and refuses a tree whose child regions are not the splitter's.
 func oracleMarshalSpatial(tree *core.Tree) ([]byte, error) {
 	root := tree.Root().Region()
-	split, err := spatialDomain(root, tree.Fanout)
+	split, err := oracleSplitter(root.Lo, root.Hi, tree.Fanout)
 	if err != nil {
 		return nil, err
 	}
@@ -96,52 +141,75 @@ func oracleMarshalSpatial(tree *core.Tree) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// oracleUnmarshalSpatialV2 reads a version-2 payload: whatever
-// encoding/json decodes into the plain struct, provided json.Marshal of
-// that struct gives back exactly the input value (the whitespace around
-// it is not part of it: json.Unmarshal hands an UnmarshalJSON method the
-// value without it), with a recursive pre-order walk of the shape bits
-// building the arena.
-func oracleUnmarshalSpatialV2(data []byte) (*core.Tree, error) {
-	var wire oracleTreeV2JSON
-	if err := json.Unmarshal(data, &wire); err != nil {
+// oracleSpatialDocJSON is every top-level member of a spatial payload of
+// either version but version 1's root, which a version-2 payload may
+// carry as any well-formed value. Shape stays a string: the base64 is
+// the version-2 reader's to decode, strictly.
+type oracleSpatialDocJSON struct {
+	Version int       `json:"version"`
+	Fanout  int       `json:"fanout"`
+	Lo      []float64 `json:"lo"`
+	Hi      []float64 `json:"hi"`
+	Nodes   int       `json:"nodes"`
+	Shape   string    `json:"shape"`
+	Counts  []float64 `json:"counts"`
+}
+
+// oracleUnmarshalSpatial reads a spatial payload of either version,
+// dispatching on the "version" member as encoding/json decodes it.
+func oracleUnmarshalSpatial(data []byte) (*core.Tree, error) {
+	var doc oracleSpatialDocJSON
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, err
 	}
-	if canon, err := json.Marshal(wire); err != nil || !bytes.Equal(canon, bytes.TrimSpace(data)) {
-		return nil, fmt.Errorf("not the canonical encoding")
+	switch doc.Version {
+	case 1:
+		return oracleUnmarshalSpatialV1(data)
+	case 2:
+		return oracleUnmarshalSpatialV2(&doc, len(bytes.TrimSpace(data)))
 	}
-	domain := geom.Rect{Lo: wire.Lo, Hi: wire.Hi}
-	split, err := spatialDomain(domain, wire.Fanout)
+	return nil, fmt.Errorf("unsupported tree version %d", doc.Version)
+}
+
+// oracleUnmarshalSpatialV2 builds a version-2 payload's tree by a
+// recursive pre-order walk of the shape bits; size is the length of the
+// payload's value.
+func oracleUnmarshalSpatialV2(doc *oracleSpatialDocJSON, size int) (*core.Tree, error) {
+	split, err := oracleSplitter(doc.Lo, doc.Hi, doc.Fanout)
 	if err != nil {
 		return nil, err
 	}
-	n := wire.Nodes
-	if !spatialV2Fits(n, len(wire.Lo), wire.Fanout, len(data)) || len(wire.Shape) != (n+7)/8 {
+	n := doc.Nodes
+	if !oracleFits(n, len(doc.Lo), doc.Fanout, size) {
 		return nil, fmt.Errorf("node count does not fit the input")
 	}
-	b := core.NewBuilder(wire.Fanout, n)
-	b.AddRoot(domain)
+	shape, err := base64.StdEncoding.Strict().DecodeString(doc.Shape)
+	if err != nil || len(shape) != (n+7)/8 || len(doc.Shape) != base64.StdEncoding.EncodedLen(len(shape)) {
+		return nil, fmt.Errorf("shape is not %d bytes of base64", (n+7)/8)
+	}
+	b := core.NewBuilder(doc.Fanout, n)
+	b.AddRoot(geom.Rect{Lo: doc.Lo, Hi: doc.Hi})
 	bit, leaf := 0, 0
 	var walk func(idx int32) error
 	walk = func(idx int32) error {
 		if bit == n {
 			return fmt.Errorf("shape ends early")
 		}
-		split1 := wire.Shape[bit/8]>>(bit%8)&1 == 1
+		split1 := shape[bit/8]>>(bit%8)&1 == 1
 		bit++
 		if !split1 {
-			if leaf == len(wire.Counts) {
+			if leaf == len(doc.Counts) {
 				return fmt.Errorf("too few counts")
 			}
-			b.SetCount(idx, wire.Counts[leaf])
+			b.SetCount(idx, doc.Counts[leaf])
 			leaf++
 			return nil
 		}
-		if b.Len()+wire.Fanout > n {
+		if b.Len()+doc.Fanout > n {
 			return fmt.Errorf("shape describes more than %d nodes", n)
 		}
 		first := b.AddChildren(idx, split.Split(b.Region(idx), int(b.Node(idx).Depth)))
-		for c := 0; c < wire.Fanout; c++ {
+		for c := 0; c < doc.Fanout; c++ {
 			if err := walk(first + int32(c)); err != nil {
 				return err
 			}
@@ -151,7 +219,7 @@ func oracleUnmarshalSpatialV2(data []byte) (*core.Tree, error) {
 	if err := walk(0); err != nil {
 		return nil, err
 	}
-	if bit != n || leaf != len(wire.Counts) || n%8 != 0 && wire.Shape[n/8]>>(n%8) != 0 {
+	if bit != n || leaf != len(doc.Counts) || n%8 != 0 && shape[n/8]>>(n%8) != 0 {
 		return nil, fmt.Errorf("shape and counts do not describe one tree")
 	}
 	tree := b.Build(true)
@@ -180,27 +248,13 @@ func oracleMarshalSpatialV1(tree *core.Tree) ([]byte, error) {
 	return json.Marshal(oracleTreeJSON{Version: 1, Fanout: tree.Fanout, Root: conv(tree.Root())})
 }
 
-// oracleUnmarshalSpatial reads a spatial payload of either version: one
-// that opens as a version-2 payload must be one; otherwise the "version"
-// key, as encoding/json reads it, must say 1.
-func oracleUnmarshalSpatial(data []byte) (*core.Tree, error) {
-	if bytes.HasPrefix(bytes.TrimSpace(data), []byte(`{"version":2,`)) {
-		return oracleUnmarshalSpatialV2(data)
-	}
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, err
-	}
-	if probe.Version != 1 {
-		return nil, fmt.Errorf("unsupported tree version %d", probe.Version)
-	}
-	return oracleUnmarshalSpatialV1(data)
-}
-
+// oracleUnmarshalSpatialV1 reads a version-1 payload; the members only
+// version 2 reads must still decode.
 func oracleUnmarshalSpatialV1(data []byte) (*core.Tree, error) {
-	var wire oracleTreeJSON
+	var wire struct {
+		oracleSpatialDocJSON
+		Root oracleNodeJSON `json:"root"`
+	}
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return nil, err
 	}

@@ -61,8 +61,7 @@
 // writer privtreed's request bodies share: the writer emits exactly the
 // bytes encoding/json writes for the same document, and the readers
 // accept what encoding/json accepts, except that keys match in their
-// exact case only and a version-2 spatial payload must be exactly the
-// writer's bytes. Hybrid payloads still use encoding/json.
+// exact case only. Hybrid payloads still use encoding/json.
 //
 // The SVT analysis of Section 5 lives in the same module for side-by-side
 // comparison; the experiment runners that regenerate every figure and

@@ -15,9 +15,7 @@
 // and what a repeated key means. Keys are handed over unescaped, so a
 // caller matching them exactly matches "queries" as "queries".
 //
-// AppendFloat writes a float64 exactly as encoding/json does, and the
-// canonical methods (Expect, CanonicalInt, CanonicalFloats) read a
-// document that must be exactly what the writer produced.
+// AppendFloat writes a float64 exactly as encoding/json does.
 package wire
 
 import (
@@ -430,77 +428,6 @@ func VersionOf(data []byte, key string) (v int, ok bool) {
 		return found
 	})
 	return v, err == found
-}
-
-// Canonical reading. A format that promises that every document it
-// accepts re-encodes byte for byte reads with the methods below instead
-// of the encoding/json-compatible ones: they skip no whitespace and take
-// a number only in the one form the writer produces.
-
-// Expect consumes lit, which must follow the cursor exactly.
-func (r *Reader) Expect(lit string) error {
-	if len(r.data)-r.pos < len(lit) || string(r.data[r.pos:r.pos+len(lit)]) != lit {
-		return fmt.Errorf("expected %s at offset %d", lit, r.pos)
-	}
-	r.pos += len(lit)
-	return nil
-}
-
-// Next consumes the next n bytes and returns them.
-func (r *Reader) Next(n int) ([]byte, error) {
-	if n < 0 || len(r.data)-r.pos < n {
-		return nil, r.syntaxErr("")
-	}
-	r.pos += n
-	return r.data[r.pos-n : r.pos], nil
-}
-
-// CanonicalInt reads lit, then an integer written as strconv.AppendInt
-// writes it.
-func (r *Reader) CanonicalInt(lit string) (int, error) {
-	if err := r.Expect(lit); err != nil {
-		return 0, err
-	}
-	at := r.pos
-	tok, err := r.number()
-	if err != nil {
-		return 0, err
-	}
-	var buf [24]byte
-	n, err := strconv.ParseInt(string(tok), 10, 0)
-	if err != nil || string(strconv.AppendInt(buf[:0], n, 10)) != string(tok) {
-		return 0, fmt.Errorf("number %s at offset %d is not a canonical integer", tok, at)
-	}
-	return int(n), nil
-}
-
-// CanonicalFloats reads lit, then a non-empty array of numbers, each
-// written exactly as AppendFloat writes it, and appends them to dst.
-func (r *Reader) CanonicalFloats(lit string, dst []float64) ([]float64, error) {
-	if err := r.Expect(lit + "["); err != nil {
-		return dst, err
-	}
-	var buf [32]byte
-	for {
-		// No grammar check: the token must equal AppendFloat's output,
-		// which rejects every form strconv takes and JSON does not.
-		at, end := r.pos, r.pos
-		for end < len(r.data) && r.data[end] != ',' && r.data[end] != ']' {
-			end++
-		}
-		tok := r.data[at:end]
-		v, err := strconv.ParseFloat(string(tok), 64)
-		if canon, _ := AppendFloat(buf[:0], v); err != nil || string(canon) != string(tok) {
-			return dst, fmt.Errorf("number %.40q at offset %d is not written as encoding/json writes a float64", tok, at)
-		}
-		dst = append(dst, v)
-		if r.pos = end; end == len(r.data) {
-			return dst, r.syntaxErr("")
-		}
-		if r.pos++; r.data[end] == ']' {
-			return dst, nil
-		}
-	}
 }
 
 // AppendFloat appends f exactly as encoding/json encodes a float64:

@@ -77,36 +77,6 @@ func TestEndRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestCanonicalFloatsAcceptOnlyAppendFloat: a number is read only in the
-// exact form AppendFloat writes, so every accepted array re-encodes byte
-// for byte; any other spelling of the same value is refused.
-func TestCanonicalFloatsAcceptOnlyAppendFloat(t *testing.T) {
-	for doc, ok := range map[string]bool{
-		`[0,-0,1.5,1e-7,1e+21,5e-324,-1.7976931348623157e+308,0.000001]`: true,
-		`[1.0]`: false, `[1e0]`: false, `[+1]`: false, `[.5]`: false, `[1e-07]`: false, `[1E+21]`: false,
-		`[0x10]`: false, `[NaN]`: false, `[Inf]`: false, `[1e400]`: false, `[1_0]`: false, `[ 1]`: false,
-		`[1 ]`: false, `[]`: false, `[1,]`: false, `[1`: false, `[1,2`: false, `1`: false, `[null]`: false,
-	} {
-		vals, err := NewReader([]byte(doc)).CanonicalFloats("", nil)
-		if (err == nil) != ok {
-			t.Errorf("%s: error %v, want accepted %v", doc, err, ok)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		b, _ := AppendFloats(nil, vals)
-		if string(b) != doc {
-			t.Errorf("%s re-encodes as %s", doc, b)
-		}
-	}
-	for doc, ok := range map[string]bool{`7`: true, `-3`: true, `0`: true, `-0`: false, `07`: false, `7.0`: false, `7e0`: false, ` 7`: false} {
-		if _, err := NewReader([]byte(doc)).CanonicalInt(""); (err == nil) != ok {
-			t.Errorf("int %s: error %v, want accepted %v", doc, err, ok)
-		}
-	}
-}
-
 // TestVersionOf reads the first member of the given name and nothing
 // after it, so a document that breaks further on still reports it.
 func TestVersionOf(t *testing.T) {

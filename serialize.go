@@ -32,10 +32,10 @@ import (
 // the reader rebuilds each one with spatialSplitter, the splitter the
 // build used, and internal counts are the sums of their leaves.
 //
-// The writer emits exactly what encoding/json writes for that object, and
-// the reader accepts only those bytes — this key order, no whitespace,
-// numbers in encoding/json's form — so an accepted payload re-encodes
-// byte for byte.
+// The writer emits exactly what encoding/json writes for that object.
+// The reader accepts what encoding/json accepts for it — any whitespace,
+// key order and number spelling — so a payload that has passed through
+// an ordinary JSON tool still decodes, to the same tree.
 //
 // Version 1 wrote every node's region. It is still read, since stores and
 // replicas hold version-1 artifacts under their SHA-256, but not written:
@@ -44,8 +44,8 @@ import (
 //	NODE = {"lo":[...],"hi":[...],"count":c}              (leaf)
 //	     | {"lo":[...],"hi":[...],"children":[NODE × β]} (internal)
 //
-// Its reader accepts what encoding/json accepts (see codec.go) and
-// checks every region against its parent.
+// Its reader checks every region against its parent. Both readers
+// follow codec.go's rules for what encoding/json accepts.
 
 // spatialPayloadVersion is the spatial payload version this library writes.
 const spatialPayloadVersion = 2
@@ -61,7 +61,9 @@ func (t *SpatialTree) MarshalJSON() ([]byte, error) {
 // known to be derived, the walk also checks that every split node's
 // children have exactly the regions spatialSplitter derives: a tree with
 // other regions, which only a hand-written version-1 document can
-// produce, would decode to a different tree, so it is refused.
+// produce, would decode to a different tree, so it is refused. Builds
+// and version-2 decodes skip the check: on a 100k-point release it adds
+// 35-100% to the encode's time and two allocations.
 func appendSpatialPayload(b []byte, t *SpatialTree) ([]byte, error) {
 	tree := t.tree
 	root := tree.Root().Region()
@@ -221,86 +223,104 @@ func (t *SpatialTree) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// spatialV2Prefix opens every version-2 payload.
-var spatialV2Prefix = []byte(`{"version":2,`)
+// spatialDoc holds the top-level members of a spatial payload document of
+// either version, as encoding/json would decode them into one struct.
+type spatialDoc struct {
+	version, fanout, nodes int
+	lo, hi, counts         []float64
+	shape                  string
+}
 
-// readSpatialPayload decodes a payload document of either version: one
-// that opens as a version-2 payload must be one, and anything else goes
-// through the version-1 reader.
+// readSpatialPayload decodes a payload document of either version. One
+// pass reads every top-level member of both versions except "root",
+// whose syntax alone it checks; the version then decides which members
+// describe the tree, and only a version-1 document goes back for its
+// root.
 func readSpatialPayload(data []byte) (*SpatialTree, error) {
-	if bytes.HasPrefix(data, spatialV2Prefix) {
-		tree, err := readSpatialV2(data)
+	var doc spatialDoc
+	r := wire.NewReader(data)
+	floats := &treeReader{r: r}
+	r.Peek()
+	start := r.Rest()
+	err := r.Object(func(key []byte) (err error) {
+		switch string(key) {
+		case "version":
+			return r.IntInto(&doc.version)
+		case "fanout":
+			return r.IntInto(&doc.fanout)
+		case "nodes":
+			return r.IntInto(&doc.nodes)
+		case "shape":
+			return r.StringInto(&doc.shape)
+		case "lo":
+			doc.lo, err = floats.floats(doc.lo)
+		case "hi":
+			doc.hi, err = floats.floats(doc.hi)
+		case "counts":
+			// Counts are most of a payload: read them into a buffer sized
+			// once, by the commas before the first ']', not grown by append.
+			if rest := r.Rest(); r.Peek() == '[' {
+				end := max(bytes.IndexByte(rest, ']'), 0)
+				floats.scratch = make([]float64, 0, bytes.Count(rest[:end], []byte{','})+1)
+			}
+			doc.counts, err = floats.floats(doc.counts)
+		default:
+			return r.Skip()
+		}
+		return err
+	})
+	size := len(start) - len(r.Rest())
+	if err == nil {
+		err = r.End()
+	}
+	if err == nil && doc.version != 1 && doc.version != spatialPayloadVersion {
+		err = fmt.Errorf("privtree: unsupported spatial payload version %d", doc.version)
+	}
+	if err != nil {
+		return nil, newerVersion("spatial payload", "version", data, spatialPayloadVersion, err)
+	}
+	if doc.version == 1 {
+		tree, err := readSpatialV1(data, doc.fanout)
 		if err != nil {
 			return nil, err
 		}
-		return &SpatialTree{tree: tree, derived: true}, nil
+		return &SpatialTree{tree: tree}, nil
 	}
-	tree, err := readSpatialV1(data)
+	tree, err := readSpatialV2(&doc, size)
 	if err != nil {
 		return nil, err
 	}
-	return &SpatialTree{tree: tree}, nil
+	return &SpatialTree{tree: tree, derived: true}, nil
 }
 
-// readSpatialV2 decodes a version-2 payload, which must be exactly the
-// bytes appendSpatialPayload writes for its tree. The declared node count
-// is checked against the allocation bound, the shape's length and the
-// number of counts before the arena is allocated.
-func readSpatialV2(data []byte) (*core.Tree, error) {
+// readSpatialV2 builds the tree a version-2 payload describes; size is
+// the length of the payload's value. The declared node count is checked
+// against the allocation bound, the number of counts and the shape's
+// length before the arena is allocated.
+func readSpatialV2(doc *spatialDoc, size int) (*core.Tree, error) {
 	bad := func(err error) (*core.Tree, error) {
 		return nil, fmt.Errorf("privtree: malformed spatial payload: %w", err)
 	}
-	r := wire.NewReader(data)
-	fanout, err := r.CanonicalInt(`{"version":2,"fanout":`)
-	if err != nil {
-		return bad(err)
-	}
-	lo, err := r.CanonicalFloats(`,"lo":`, nil)
-	if err != nil {
-		return bad(err)
-	}
-	hi, err := r.CanonicalFloats(`,"hi":`, nil)
-	if err != nil {
-		return bad(err)
-	}
-	domain := geom.Rect{Lo: lo, Hi: hi}
-	split, err := spatialDomain(domain, fanout)
+	domain := geom.Rect{Lo: doc.lo, Hi: doc.hi}
+	split, err := spatialDomain(domain, doc.fanout)
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.CanonicalInt(`,"nodes":`)
-	if err != nil {
-		return bad(err)
-	}
-	if !spatialV2Fits(n, len(lo), fanout, len(data)) {
-		return nil, fmt.Errorf("privtree: spatial payload declares %d nodes in %d dimensions; %d bytes cannot describe them", n, len(lo), len(data))
-	}
-	var text []byte
-	if err = r.Expect(`,"shape":"`); err == nil {
-		text, err = r.Next(base64.StdEncoding.EncodedLen((n + 7) / 8))
-	}
-	if err != nil {
-		return bad(err)
-	}
-	counts, err := r.CanonicalFloats(`","counts":`, make([]float64, 0, min(n, len(r.Rest())/2+1)))
-	if err == nil {
-		err = r.Expect("}")
-	}
-	if err == nil && len(r.Rest()) != 0 {
-		err = fmt.Errorf("data after the payload object")
-	}
-	if err != nil {
-		return bad(err)
+	n, fanout, counts := doc.nodes, doc.fanout, doc.counts
+	if !spatialV2Fits(n, len(domain.Lo), fanout, size) {
+		return nil, fmt.Errorf("privtree: spatial payload declares %d nodes in %d dimensions; %d bytes cannot describe them", n, len(domain.Lo), size)
 	}
 	if (n-1)%fanout != 0 || len(counts) != n-(n-1)/fanout {
 		return bad(fmt.Errorf("no tree of %d nodes and fanout %d has %d leaves", n, fanout, len(counts)))
 	}
-	shape := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
-	k, err := base64.StdEncoding.Strict().Decode(shape, text)
-	if err != nil || k != (n+7)/8 {
-		return bad(fmt.Errorf("shape is not %d bytes of canonical base64", (n+7)/8))
+	var shape []byte
+	if len(doc.shape) == base64.StdEncoding.EncodedLen((n+7)/8) {
+		shape, err = base64.StdEncoding.Strict().DecodeString(doc.shape)
 	}
-	shape = shape[:k]
+	if err != nil || len(shape) != (n+7)/8 {
+		return bad(fmt.Errorf("shape is not %d bytes of padded standard base64", (n+7)/8))
+	}
+	k := len(shape)
 	if n&7 != 0 && shape[k-1]>>(n&7) != 0 {
 		return bad(fmt.Errorf("shape has bits set past its last node"))
 	}
@@ -352,36 +372,22 @@ func newerVersion(what, key string, data []byte, newest int, err error) error {
 	return err
 }
 
-// readSpatialV1 decodes a version-1 payload document: one pass over the
-// bytes fills a wire-node table, then one walk of that table validates
-// every node and lays the arena out depth first, each node's children as
-// one block — the layout the builder gives a fresh build.
-func readSpatialV1(data []byte) (*core.Tree, error) {
+// readSpatialV1 decodes a version-1 payload document, whose other
+// members readSpatialPayload has read: a second pass over the bytes fills
+// a wire-node table from the "root" members, then one walk of that table
+// validates every node and lays the arena out depth first, each node's
+// children as one block — the layout the builder gives a fresh build.
+func readSpatialV1(data []byte, fanout int) (*core.Tree, error) {
 	r := wire.NewReader(data)
 	t := newTreeReader(r, "lo", "hi", "count")
-	var version, fanout int
 	err := r.Object(func(key []byte) error {
-		switch string(key) {
-		case "version":
-			return r.IntInto(&version)
-		case "fanout":
-			return r.IntInto(&fanout)
-		case "root":
+		if string(key) == "root" {
 			return t.node(0)
 		}
 		return r.Skip()
 	})
-	if err == nil {
-		err = r.End()
-	}
-	if err == nil && version != 1 {
-		err = fmt.Errorf("privtree: spatial payload version %d is not in the form its writer produces", version)
-		if version != spatialPayloadVersion {
-			err = fmt.Errorf("privtree: unsupported spatial payload version %d", version)
-		}
-	}
 	if err != nil {
-		return nil, newerVersion("spatial payload", "version", data, spatialPayloadVersion, err)
+		return nil, err
 	}
 	if fanout < 2 || fanout > maxWireFanout {
 		return nil, fmt.Errorf("privtree: unusable fanout %d", fanout)

@@ -160,7 +160,7 @@ func TestNewerVersionsNamed(t *testing.T) {
 }
 
 // v2FuzzSeeds are version-2 payloads of small trees in 1, 2 and 4
-// dimensions, both split families, plus near misses.
+// dimensions, both split families, plus near misses and other spellings.
 func v2FuzzSeeds(t testing.TB) [][]byte {
 	rng := rand.New(rand.NewPCG(7, 7))
 	var seeds [][]byte
@@ -183,39 +183,115 @@ func v2FuzzSeeds(t testing.TB) [][]byte {
 		`{"version":2,"fanout":2,"lo":[0],"hi":[1],"nodes":3,"shape":"CQ==","counts":[1,2]}`,
 		`{"version":2,"fanout":2,"lo":[0],"hi":[1],"nodes":1000000000,"shape":"AQ==","counts":[1,2]}`,
 		`{"version":2,"fanout":1048576,"lo":[0],"hi":[1],"nodes":3,"shape":"AQ==","counts":[1,2]}`,
+		`{"counts": [1.0, 2e0], "shape": "AQ==", "nodes": 3, "hi": [1], "lo": [0], "fanout": 2, "version": 2}`,
+		"{\n \"version\": 2,\n \"fanout\": 4,\n \"lo\": [0, 0],\n \"hi\": [1, 1],\n \"nodes\": 5,\n \"shape\": \"AQ==\",\n \"counts\": [1e-06, 0.5, -0, 3]\n}",
+		`{"version":2,"fanout":2,"lo":[0],"hi":[1],"nodes":3,"shape":"AQ==","counts":[1,2],"root":{"lo":[0]},"counts":[null,3]}`,
 	} {
 		seeds = append(seeds, []byte(doc))
 	}
 	return seeds
 }
 
-// FuzzSpatialPayloadV2 feeds the version-2 spatial payload reader hostile
-// bytes. It must never panic, must allocate no more than 64 bytes per
-// input byte (plus a constant for the reader itself), and every payload
-// it accepts must re-encode byte for byte.
+// FuzzSpatialPayloadV2 feeds the spatial payload reader hostile bytes,
+// starting from version-2 payloads. It must never panic, and on any
+// document that is not version 1 it must allocate no more than 64 bytes
+// per input byte (plus a constant for the reader itself). Every
+// version-2 payload it accepts must re-encode, the re-encoding must
+// decode to the same tree, and re-encoding that tree must give the same
+// bytes again: a payload in another spelling — whitespace, key order,
+// number form — comes back in the writer's.
 func FuzzSpatialPayloadV2(f *testing.F) {
 	for _, seed := range v2FuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var probe struct {
+			Version int `json:"version"`
+		}
+		v1 := json.Unmarshal(data, &probe) == nil && probe.Version == 1
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		tree, err := readSpatialV2(data)
+		tree, err := readSpatialPayload(data)
 		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+16<<10); got > limit {
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+16<<10); got > limit && !v1 {
 			t.Fatalf("allocated %d bytes for a %d-byte input (limit %d)", got, len(data), limit)
 		}
-		if err != nil {
+		if err != nil || v1 {
 			return
 		}
 		// Re-encode as a tree not known to be derived, so that the writer
 		// also checks every region the reader derived.
-		again, err := appendSpatialPayload(nil, &SpatialTree{tree: tree})
+		blob, err := appendSpatialPayload(nil, &SpatialTree{tree: tree.tree})
 		if err != nil {
 			t.Fatalf("accepted payload does not re-encode: %v\ninput %q", err, data)
 		}
-		if !bytes.Equal(again, data) {
-			t.Fatalf("accepted payload re-encodes differently:\n got %q\nwant %q", again, data)
+		again, err := readSpatialPayload(blob)
+		if err != nil || !core.Equal(again.tree, tree.tree) {
+			t.Fatalf("re-encoded payload decodes to another tree (%v):\n got %q\ninput %q", err, blob, data)
+		}
+		if twice, err := appendSpatialPayload(nil, &SpatialTree{tree: again.tree}); err != nil || !bytes.Equal(twice, blob) {
+			t.Fatalf("re-encoding is not stable (%v):\n got %q\nwant %q", err, twice, blob)
 		}
 	})
+}
+
+// TestSpatialPayloadV2Spellings: a version-2 artifact that has passed
+// through an ordinary JSON tool — indented by json.MarshalIndent inside
+// another document, or written with Python's separators and exponent
+// form — decodes to the tree it was written from, and re-encodes to the
+// writer's own bytes. Keys match only in their exact case.
+func TestSpatialPayloadV2Spellings(t *testing.T) {
+	built, err := BuildSpatial(UnitCube(2), clusteredPoints(rand.New(rand.NewPCG(5, 5)), 2000, 2), 1,
+		SpatialOptions{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := &Release{kind: KindSpatial, spatial: built}
+	blob, err := rel.Envelope()
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(struct {
+		Name    string   `json:"name"`
+		Release *Release `json:"release"`
+	}{"archived", rel}, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var holder struct {
+		Release json.RawMessage `json:"release"`
+	}
+	if err := json.Unmarshal(indented, &holder); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(holder.Release, blob) || !bytes.Contains(holder.Release, []byte("\n\t\t\t")) {
+		t.Fatalf("MarshalIndent did not respell the envelope: %.200s", holder.Release)
+	}
+	payload, err := json.Marshal(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	python := strings.NewReplacer(",", ", ", ":", ": ", "e-7", "e-07", "e-8", "e-08").Replace(string(payload))
+	for name, doc := range map[string][]byte{"indented envelope": holder.Release, "python payload": []byte(python)} {
+		var tree *SpatialTree
+		if name == "indented envelope" {
+			got, err := Decode(doc)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			tree = got.spatial
+		} else if tree = new(SpatialTree); tree.UnmarshalJSON(doc) != nil {
+			t.Fatalf("%s rejected: %v", name, tree.UnmarshalJSON(doc))
+		}
+		if !core.Equal(tree.tree, built.tree) {
+			t.Fatalf("%s decodes to another tree", name)
+		}
+		if again, err := json.Marshal(tree); err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("%s re-encodes differently (%v)", name, err)
+		}
+	}
+	folded := bytes.Replace(payload, []byte(`"fanout"`), []byte(`"Fanout"`), 1)
+	if err := new(SpatialTree).UnmarshalJSON(folded); err == nil {
+		t.Fatal(`"Fanout" was read as "fanout"`)
+	}
 }
